@@ -68,8 +68,12 @@ def cmd_sort(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.trace, encoding="ascii") as fh:
-        trace = parse_trace(fh.read())
+    try:
+        with open(args.trace, encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{args.trace}: not ASCII text (byte {exc.start})") from None
+    trace = parse_trace(text)
     vals = list(trace.initial.values)
     count = adjacency_count_values(vals)
     monotone = True
@@ -147,6 +151,8 @@ def cmd_random(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise InputError(f"--reps must be >= 1, got {args.reps}")
     algos = list(_ALGORITHMS) if args.algo == "all" else [args.algo]
     rows = ["n,algo,reps,mean_moves,max_moves,bound,mean_ms"]
     for n in args.n:
@@ -240,10 +246,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except oracle.ResourceGuardError as exc:

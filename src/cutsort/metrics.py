@@ -24,6 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
+from math import factorial
 from typing import Sequence
 
 from .perm import (
@@ -243,6 +244,16 @@ def min_parity_adjacencies(n: int) -> int:
 _EXHAUSTIVE_WITNESS_LIMIT = 8
 
 
+def hard_witness_count(n: int) -> int:
+    """
+    How many permutations of n attain the minimum parity-adjacency count:
+    (ceil(n/2)!)^2.  For even n they are the evens, then the odds, each in
+    any order.  For odd n the (n+1)/2 odd values form one run, and the
+    (n-1)/2 evens split around it in (n+1)/2 ways.
+    """
+    return factorial((n + 1) // 2) ** 2
+
+
 def hard_witnesses(n: int, limit: int, seed: int = 0) -> list[Permutation]:
     """
     Permutations attaining the minimum parity-adjacency count for n, each
@@ -251,7 +262,8 @@ def hard_witnesses(n: int, limit: int, seed: int = 0) -> list[Permutation]:
     For n <= 8 the witnesses are enumerated exhaustively (in lexicographic
     order) and returned whole when they number at most `limit`; otherwise
     `limit` distinct witnesses are rejection-sampled with the documented
-    shuffle, so results are deterministic per seed.
+    shuffle, so results are deterministic per seed.  For n > 8 a `limit`
+    above hard_witness_count(n) raises InputError.
     """
     if n < 2:
         raise InputError("hard witnesses need n >= 2")
@@ -266,6 +278,9 @@ def hard_witnesses(n: int, limit: int, seed: int = 0) -> list[Permutation]:
         ]
         if len(everything) <= limit:
             return everything
+    count = hard_witness_count(n)
+    if limit > count:
+        raise InputError(f"limit {limit} exceeds the {count} witnesses for n={n}")
     rng = random.Random(seed)
     sampled: dict[tuple[int, ...], Permutation] = {}
     while len(sampled) < limit:

@@ -8,8 +8,8 @@ full table for n has exactly n! entries and persists portably as CSV.
 
 Distances from the identity equal distances to the identity: every
 canonical move is undone by another canonical move, so the move graph is
-symmetric.  A resource guard rejects n above 9 (9 takes minutes; up to 8
-takes seconds).
+symmetric.  A resource guard rejects n above 9 (9 takes minutes; 8 takes
+about half a minute).
 """
 
 from __future__ import annotations
@@ -143,6 +143,8 @@ def build_table(
     n <= 8 runs unconditionally; n = 9 needs allow_big=True (minutes).
     `progress`, if given, receives one status line per BFS level.
     """
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
     limit = DISTANCE_GUARD if allow_big else TABLE_GUARD
     if n > limit:
         hint = "" if allow_big else " (pass the long-run flag for n=9)"
@@ -245,32 +247,44 @@ def save_table(table: DistanceTable, path: str) -> None:
 
 
 def load_table(path: str) -> DistanceTable:
+    """Read a save_table CSV; a bad row raises InputError naming its line."""
     n = fmax = None
-    rows: dict[int, int] = {}
+    rows: dict[int, tuple[int, int]] = {}  # rank -> (distance, line number)
     with open(path, encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line == "rank,distance":
                 continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                if key == "n":
-                    n = int(value)
-                elif key == "fmax":
-                    fmax = int(value)
-                continue
-            if line == "rank,distance":
-                continue
-            rank_text, _, d_text = line.partition(",")
-            rows[int(rank_text)] = int(d_text)
+            where = f"{path}: line {lineno}"
+            try:
+                if line.startswith("#"):
+                    key, _, value = line[1:].strip().partition("=")
+                    if key == "n":
+                        n = int(value)
+                    elif key == "fmax":
+                        fmax = int(value)
+                    continue
+                rank_text, _, d_text = line.partition(",")
+                rank, d = int(rank_text), int(d_text)
+            except ValueError:
+                raise InputError(f"{where}: not an integer in {line!r}") from None
+            if not 0 <= d < _UNSEEN:
+                raise InputError(f"{where}: distance {d} out of range 0..{_UNSEEN - 1}")
+            if rank in rows:
+                raise InputError(f"{where}: rank {rank} repeats line {rows[rank][1]}")
+            rows[rank] = (d, lineno)
     if n is None:
         raise InputError(f"{path}: missing '# n=' header")
+    if n < 1:
+        raise InputError(f"{path}: n must be >= 1, got {n}")
     total = factorial(n)
+    distances = bytearray(total)
+    for rank, (d, lineno) in rows.items():
+        if not 0 <= rank < total:
+            raise InputError(f"{path}: line {lineno}: rank {rank} out of range for n={n}")
+        distances[rank] = d
     if len(rows) != total:
         raise InputError(f"{path}: expected {total} rows, found {len(rows)}")
-    distances = bytearray(total)
-    for rank, d in rows.items():
-        distances[rank] = d
     table_max = max(distances)
     if fmax is not None and fmax != table_max:
         raise InputError(f"{path}: fmax header {fmax} != table maximum {table_max}")

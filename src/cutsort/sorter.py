@@ -23,16 +23,35 @@ a broken adjacency raises DiagnosticFailure instead of emitting a bad
 trace.  Gains are measured on the window the step acted on (recorded in
 the step), in integer thirds.
 
+The measurement is an exact O(1) delta (`move_deltas`), read from the
+actual values before and after each move.  That is exact because of
+four facts:
+
+  * a move changes neighbour pairs only at its cut gaps: i, j, k before
+    and i, i+k-j, k after (i and k for REVERSE);
+  * a reversed piece keeps every inner |difference|, so its inner pairs
+    stay adjacent or not, and bound or not;
+  * with b_g = 1 when gap g inside the window (lo, hi] is bound under the
+    mode's step test, weight = 2N - sum(b_g) - sum(b_g * b_{g-1}) for a
+    window of N positions: 2 per segment plus 1 per block;
+  * a window holds distinct values, so a run never changes direction,
+    and every maximal run of bound gaps is exactly one block.
+
+So only the terms at the cut gaps change.  `audit_result` stays the
+independent full recomputation of every step's adjacencies and gain.
+
 Baselines: `sort_insertion` (<= n-1 moves) and `sort_monotone`
 (<= n - ceil(sqrt(n)) + 1 moves via a longest monotone subsequence).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+import re
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
+from operator import sub
 
 from .metrics import Mode, Orientation, segment_spans, weight_thirds_values
 from .perm import (
@@ -112,8 +131,98 @@ def splice_move(gs: int, gt: int, g: int, reverse: bool) -> Move:
     raise ValueError("paste gap inside the cut span")
 
 
-def _is_block(span: tuple[int, int, Orientation | None]) -> bool:
+def _is_block(span: tuple) -> bool:
     return span[1] - span[0] >= 2
+
+
+def _adjacencies_at(vals, cuts) -> int:
+    """Adjacencies at the given gaps of the extended sequence 0, v1..vn, n+1."""
+    n = len(vals)
+    count = 0
+    for g in cuts:
+        left = vals[g - 1] if g else 0
+        right = vals[g] if g < n else n + 1
+        if left - right == 1 or right - left == 1:
+            count += 1
+    return count
+
+
+def _bound_terms(vals, cuts, lo: int, hi: int, wrap: int) -> int:
+    """
+    The part of sum(b_g) + sum(b_g * b_{g-1}) that touches the given gaps
+    (increasing): b_g for each cut gap, and every product whose pair holds
+    one.  Each such term carries the cut gap's own b, so a free cut gap
+    adds nothing and its neighbours go unread.
+    """
+    total = 0
+    last = -2
+    for c in cuts:
+        if lo < c <= hi:
+            d = abs(vals[c] - vals[c - 1])
+            if d == 1 or d == wrap:
+                left = right = False
+                if c - 1 > lo and c != last + 1:  # else the previous cut holds the pair
+                    d = abs(vals[c - 1] - vals[c - 2])
+                    left = d == 1 or d == wrap
+                if c < hi:
+                    d = abs(vals[c + 1] - vals[c])
+                    right = d == 1 or d == wrap
+                total += 1 + left + right
+        last = c
+    return total
+
+
+def move_deltas(before, after, m: Move, mode: Mode, lo: int, hi: int) -> tuple[int, int]:
+    """
+    (adjacency change, window weight change in thirds) of move m, which took
+    `before` to `after`; both are after minus before.  Only the values at
+    the move's cut gaps are read, so the cost is O(1); see the module
+    docstring for why that is exact.  The cut points must lie in
+    [lo, hi + 1], the window's gaps.
+    """
+    i, j, k = m.i, m.j, m.k
+    if i < lo or k > hi + 1:
+        raise ValueError(f"{m} leaves the window [{lo}, {hi}]")
+    if m.kind is MoveKind.REVERSE:
+        cuts_before = cuts_after = (i, k)
+    else:
+        cuts_before = (i, j, k)
+        cuts_after = (i, i + k - j, k)
+    wrap = hi - lo if mode is Mode.CIRCULAR else 0
+    adjacency = _adjacencies_at(after, cuts_after) - _adjacencies_at(before, cuts_before)
+    weight = _bound_terms(before, cuts_before, lo, hi, wrap) - _bound_terms(
+        after, cuts_after, lo, hi, wrap
+    )
+    return adjacency, weight
+
+
+_BOUND_RUN = re.compile(rb"\x01+")
+
+
+class _Blocks:
+    """
+    The blocks of one window state, in position order, as half-open
+    (start, stop) ranges.  Singletons are implicit, and positions of values
+    are looked up on demand with `vals.index`.
+    """
+
+    __slots__ = ("vals", "blocks", "starts")
+
+    def __init__(self, vals, lo: int, hi: int, wrap: int):
+        bound = {1, -1, wrap, -wrap} if wrap else {1, -1}
+        flags = bytes(map(bound.__contains__, map(sub, vals[lo + 1 : hi + 1], vals[lo:hi])))
+        self.vals = vals
+        self.blocks = [
+            (lo + run.start(), lo + run.end() + 1) for run in _BOUND_RUN.finditer(flags)
+        ]
+        self.starts = [start for start, _ in self.blocks]
+
+    def seg(self, p: int) -> tuple[int, int]:
+        """The block holding position p, or the singleton (p, p + 1)."""
+        idx = bisect_right(self.starts, p) - 1
+        if idx >= 0 and p < self.blocks[idx][1]:
+            return self.blocks[idx]
+        return (p, p + 1)
 
 
 class _Run:
@@ -128,7 +237,6 @@ class _Run:
         self.moves: list[Move] = []
         self.steps: list[SortStep] = []
         self.notes: list[TraceNote] = []
-        self._weight_now: int | None = None
 
     # The windows used by the anchored sorter always hold the contiguous
     # value range lo+1 .. hi+1 (everything outside is already in place).
@@ -163,67 +271,39 @@ class _Run:
             self.vals if vals is None else vals, self.mode, self.lo, self.hi, self.vlo
         )
 
-    def structure(self, vals=None):
-        vals = self.vals if vals is None else vals
-        spans = self.spans(vals)
-        seg_of = [0] * (self.hi + 1)
-        for idx, (a, b, _) in enumerate(spans):
-            for t in range(a, b):
-                seg_of[t] = idx
-        pos_of = [0] * (self.vhi + 1)
-        for t in range(self.lo, self.hi + 1):
-            pos_of[vals[t]] = t
-        return spans, seg_of, pos_of
+    def view(self, vals=None) -> _Blocks:
+        wrap = self.hi - self.lo if self.mode is Mode.CIRCULAR else 0
+        return _Blocks(self.vals if vals is None else vals, self.lo, self.hi, wrap)
 
-    def window_sorted(self, vals=None) -> bool:
-        vals = self.vals if vals is None else vals
-        return all(vals[t] == t + 1 for t in range(self.lo, self.hi + 1))
-
-    def front_span(self, vals) -> tuple[int, int]:
-        """(stop, direction) of the maximal front segment; early-exit scan.
-
-        direction: +1 increasing, -1 decreasing, 0 single element.
-        """
-        wrap = (self.hi - self.lo) if self.mode is Mode.CIRCULAR else 0
-        t = self.lo
-        direction = 0
-        while t < self.hi:
-            d = vals[t + 1] - vals[t]
-            if d == 1 or (wrap and d == -wrap):
-                step = 1
-            elif d == -1 or (wrap and d == wrap):
-                step = -1
-            else:
-                break
-            if direction and step != direction:
-                break
-            direction = step
-            t += 1
-        return t + 1, direction
+    def window_sorted(self) -> bool:
+        return self.vals[self.lo : self.hi + 1] == list(range(self.vlo, self.vhi + 1))
 
     def front_ok(self, vals) -> bool:
-        stop, direction = self.front_span(vals)
-        if stop - self.lo < 2 or direction != 1:
+        """The window opens with an increasing block; LINEAR: at value vlo."""
+        lo = self.lo
+        if lo >= self.hi:
             return False
-        if self.mode is Mode.LINEAR and vals[self.lo] != self.vlo:
-            return False
-        return True
+        d = vals[lo + 1] - vals[lo]
+        if self.mode is Mode.CIRCULAR:
+            return d == 1 or d == lo - self.hi
+        return d == 1 and vals[lo] == self.vlo
 
-    def measure(self, moves, start=None, start_weight=None):
-        """Apply moves to a copy; None if the adjacency count ever drops.
+    def measure(self, moves, start=None):
+        """Apply moves to the values; None if the adjacency count ever drops.
 
-        Returns (final values, window weight gain in thirds).
+        Returns (final values, window weight gain in thirds), both read
+        from the actual values before and after each move by move_deltas.
         """
-        cur = list(self.vals if start is None else start)
-        w0 = self.weight(cur) if start_weight is None else start_weight
-        prev = adjacency_count_values(cur)
+        cur = self.vals if start is None else start
+        gain = 0
         for m in moves:
-            cur = apply_move_values(cur, m)
-            count = adjacency_count_values(cur)
-            if count < prev:
+            nxt = apply_move_values(cur, m)
+            adjacency, weight = move_deltas(cur, nxt, m, self.mode, self.lo, self.hi)
+            if adjacency < 0:
                 return None
-            prev = count
-        return cur, w0 - self.weight(cur)
+            gain -= weight
+            cur = nxt
+        return cur, gain
 
     def commit(self, step: SortStep) -> None:
         self.notes.append(
@@ -247,10 +327,11 @@ class _Run:
 
     # ------------------------------------------------------------------
     # Main-loop step planners.  Each returns a validated SortStep or None.
+    # All planners of one step share one _Blocks view of the current state.
     # ------------------------------------------------------------------
 
     def _try_step(self, moves, category: StepCategory) -> SortStep | None:
-        measured = self.measure(moves, start_weight=self._weight_now)
+        measured = self.measure(moves)
         if measured is None:
             return None
         post, gain = measured
@@ -260,31 +341,35 @@ class _Run:
             return None
         return SortStep(tuple(moves), category, gain, (self.lo, self.hi), self.mode)
 
-    def plan_block_merge(self, struct=None) -> SortStep | None:
-        """Consecutive values in two distinct blocks: merge them."""
-        spans, seg_of, pos_of = struct if struct is not None else self.structure()
-        front_seg = seg_of[self.lo]
-        if self.mode is Mode.CIRCULAR:
-            pairs = [(v, v % self.n + 1) for v in range(1, self.n + 1)]
-        else:
-            pairs = [(v, v + 1) for v in range(self.vlo, self.vhi)]
-        for v, w in pairs:
-            pv, pw = pos_of[v], pos_of[w]
-            sv, sw = seg_of[pv], seg_of[pw]
-            if sv == sw or not _is_block(spans[sv]) or not _is_block(spans[sw]):
+    def plan_block_merge(self, view: _Blocks) -> SortStep | None:
+        """Consecutive values in two distinct blocks: merge them.
+
+        Such values are block endpoints, so only endpoints are walked, in
+        increasing value order, and only those whose successor is one.
+        """
+        blocks = view.blocks
+        ends: dict[int, tuple[int, int]] = {}  # endpoint value -> (block, position)
+        for idx, (a, b) in enumerate(blocks):
+            ends[self.vals[a]] = (idx, a)
+            ends[self.vals[b - 1]] = (idx, b - 1)
+        walk = sorted(v for v in ends if v + 1 in ends)
+        if self.mode is Mode.CIRCULAR and self.n in ends and 1 in ends:
+            walk.append(self.n)
+        front = 0 if blocks and blocks[0][0] == self.lo else None
+        for v in walk:
+            (sv, pv), (sw, pw) = ends[v], ends[self.succ(v)]
+            if sv == sw:
                 continue
-            if sv == front_seg:
-                order = [(sw, sv, w, v)]
-            elif sw == front_seg:
-                order = [(sv, sw, v, w)]
-            elif spans[sv][0] < spans[sw][0]:
-                order = [(sw, sv, w, v), (sv, sw, v, w)]
+            if sv == front:
+                order = [(sw, sv, pw, pv)]
+            elif sw == front:
+                order = [(sv, sw, pv, pw)]
+            elif sv < sw:
+                order = [(sw, sv, pw, pv), (sv, sw, pv, pw)]
             else:
-                order = [(sv, sw, v, w), (sw, sv, w, v)]
-            for cut_seg, keep_seg, vcut, vkeep in order:
-                move = self._merge_move(
-                    spans[cut_seg], spans[keep_seg], pos_of[vcut], pos_of[vkeep]
-                )
+                order = [(sv, sw, pv, pw), (sw, sv, pw, pv)]
+            for cut_seg, keep_seg, pcut, pkeep in order:
+                move = self._merge_move(blocks[cut_seg], blocks[keep_seg], pcut, pkeep)
                 if move is None:
                     continue
                 step = self._try_step([move], StepCategory.BLOCK)
@@ -306,12 +391,11 @@ class _Run:
         except ValueError:
             return None
 
-    def plan_menu(self, struct=None) -> SortStep | None:
+    def plan_menu(self, view: _Blocks) -> SortStep | None:
         """The bonus / absorbing-pair case analysis at the front block."""
-        spans, seg_of, pos_of = struct if struct is not None else self.structure()
-        front = spans[0]
         if not self.front_ok(self.vals):
             return None
+        front = view.seg(self.lo)
         gap = front[1]
         if gap > self.hi:
             return None
@@ -319,8 +403,8 @@ class _Run:
         front_next = self.succ(last)
         if front_next is None:
             return None
-        pos_fn = pos_of[front_next]
-        if _is_block(spans[seg_of[pos_fn]]):
+        pos_fn = self.vals.index(front_next)
+        if _is_block(view.seg(pos_fn)):
             return None  # a block merge was available; planner order was violated
         after = self.vals[gap]
 
@@ -328,12 +412,12 @@ class _Run:
         for cand in (self.pred(after), self.succ(after)):
             if cand is None:
                 continue
-            pc = pos_of[cand]
+            pc = self.vals.index(cand)
             if abs(pc - gap) == 1:
                 continue  # located next to `after`
             if pc < front[1]:
                 continue  # inside the front block
-            cseg = spans[seg_of[pc]]
+            cseg = view.seg(pc)
             singleton = not _is_block(cseg)
             s, t = min(pos_fn, pc), max(pos_fn, pc)
             contained = cseg[0] >= s and cseg[1] - 1 <= t
@@ -353,20 +437,18 @@ class _Run:
         for rank, cand, pc, cseg in cands:
             if rank != 2:
                 continue
-            step = self._plan_absorbing_pair(gap, front_next, cand, pc, cseg, pos_of)
+            step = self._plan_absorbing_pair(gap, front_next, pc, cseg)
             if step is not None:
                 return step
         return None
 
-    def _plan_absorbing_pair(
-        self, gap, front_next, cand, pc, cseg, pos_of
-    ) -> SortStep | None:
+    def _plan_absorbing_pair(self, gap, front_next, pc, cseg) -> SortStep | None:
         far_pos = cseg[1] - 1 if pc == cseg[0] else cseg[0]
         far_end = self.vals[far_pos]
         far_next_cands = [
             x
             for x in (self.pred(far_end), self.succ(far_end))
-            if x is not None and not (cseg[0] <= pos_of[x] < cseg[1])
+            if x is not None and not (cseg[0] <= self.vals.index(x) < cseg[1])
         ]
         move_a = splice_move(cseg[0], cseg[1], gap, reverse=pc == cseg[0])
         first = self.measure([move_a])
@@ -385,7 +467,7 @@ class _Run:
                 return step
         return None
 
-    def plan_fallback_single(self, min_gain: int, vals=None) -> SortStep | None:
+    def plan_fallback_single(self, min_gain: int, view: _Blocks) -> SortStep | None:
         """
         Deterministic scan for any single insertion that creates matching
         junctions at some slot and measurably gains at least `min_gain`
@@ -393,32 +475,30 @@ class _Run:
         cannot serve (e.g. the window maximum sitting in a descending
         block right after the front block, which has no free neighbor).
         """
-        base = self.vals if vals is None else vals
-        spans, seg_of, pos_of = self.structure(base)
-        front_stop = spans[0][1]
+        base = view.vals
+        front_stop = view.seg(self.lo)[1]
         for g in range(front_stop, self.hi + 2):
             u = base[g - 1]
             w = base[g] if g <= self.hi else None
-            if w is not None and seg_of[g - 1] == seg_of[g]:
+            if w is not None and view.seg(g - 1) == view.seg(g):
                 continue
             xs = [x for x in (self.pred(u), self.succ(u)) if x is not None and x != w]
             if w is None:
                 for x in xs:
-                    xseg = spans[seg_of[pos_of[x]]]
+                    px = base.index(x)
+                    xseg = view.seg(px)
                     if xseg[0] < front_stop or xseg[0] <= g - 1 < xseg[1]:
                         continue
-                    move = splice_move(
-                        xseg[0], xseg[1], g, reverse=pos_of[x] != xseg[0]
-                    )
+                    move = splice_move(xseg[0], xseg[1], g, reverse=px != xseg[0])
                     step = self._try_move_on(base, move, min_gain)
                     if step is not None:
                         return step
                 continue
             ys = [y for y in (self.pred(w), self.succ(w)) if y is not None and y != u]
             for x in xs:
-                px = pos_of[x]
+                px = base.index(x)
                 for y in ys:
-                    py = pos_of[y]
+                    py = base.index(y)
                     s, t = min(px, py), max(px, py)
                     if s < front_stop or s <= g - 1 <= t or s <= g <= t:
                         continue
@@ -437,22 +517,21 @@ class _Run:
             return None
         return SortStep((move,), StepCategory.BONUS, gain, (self.lo, self.hi), self.mode)
 
-    def plan_fallback_pair(self) -> SortStep | None:
+    def plan_fallback_pair(self, view: _Blocks) -> SortStep | None:
         """Absorbing move plus a compensating insertion, found by scan."""
-        spans, seg_of, pos_of = self.structure()
-        front_stop = spans[0][1]
-        for seg in spans[1:]:
-            if not _is_block(seg):
-                continue
+        front_stop = view.seg(self.lo)[1]
+        for seg in view.blocks:
+            if seg[0] == self.lo:
+                continue  # the front block
             for end_pos in (seg[0], seg[1] - 1):
                 end_val = self.vals[end_pos]
                 for target in (self.pred(end_val), self.succ(end_val)):
                     if target is None:
                         continue
-                    pt = pos_of[target]
+                    pt = self.vals.index(target)
                     if seg[0] <= pt < seg[1] or pt < front_stop:
                         continue
-                    if _is_block(spans[seg_of[pt]]):
+                    if _is_block(view.seg(pt)):
                         continue
                     for gap, reverse in (
                         (pt + 1, end_pos != seg[0]),
@@ -469,7 +548,7 @@ class _Run:
                         mid, gain_a = first
                         if gain_a < 2 or not self.front_ok(mid):
                             continue
-                        follow = self.plan_fallback_single(6 - gain_a, vals=mid)
+                        follow = self.plan_fallback_single(6 - gain_a, self.view(mid))
                         if follow is None:
                             continue
                         moves = (move_a,) + follow.moves
@@ -479,13 +558,12 @@ class _Run:
         return None
 
     def plan_next(self) -> SortStep | None:
-        struct = self.structure()
-        self._weight_now = self.weight()
+        view = self.view()
         return (
-            self.plan_block_merge(struct)
-            or self.plan_menu(struct)
-            or self.plan_fallback_single(3)
-            or self.plan_fallback_pair()
+            self.plan_block_merge(view)
+            or self.plan_menu(view)
+            or self.plan_fallback_single(3, view)
+            or self.plan_fallback_pair(view)
         )
 
     def main_loop(self, done) -> None:
@@ -523,8 +601,9 @@ class _Run:
             raise DiagnosticFailure("closing rotation missed", tuple(self.vals))
 
     def _basic_done(self) -> bool:
-        stop, direction = self.front_span(self.vals)
-        return stop == self.hi + 1 and direction == 1
+        """One increasing circular block: a rotation of the identity."""
+        first = self.vals[0]
+        return self.vals == list(range(first, self.n + 1)) + list(range(1, first))
 
     def _basic_opening(self) -> None:
         """
@@ -583,9 +662,8 @@ class _Run:
             if first == self.vlo:
                 self.lo += 1
                 continue
-            spans, seg_of, pos_of = self.structure()
-            p_min = pos_of[self.vlo]
-            min_seg = spans[seg_of[p_min]]
+            p_min = self.vals.index(self.vlo)
+            min_seg = self.view().seg(p_min)
             if _is_block(min_seg):
                 # the window minimum sits in a block: front the whole block,
                 # minimum first, and run the main loop from there
@@ -606,7 +684,7 @@ class _Run:
                 )
                 self.lo += 1
                 continue
-            outcome = self._refined_general_opening(pos_of)
+            outcome = self._refined_general_opening(p_min)
             if outcome == "loop":
                 self.main_loop(self.window_sorted)
                 return
@@ -621,14 +699,13 @@ class _Run:
             return True
         return abs(vals[g - 1] - vals[g]) != 1
 
-    def _refined_general_opening(self, pos_of) -> str:
+    def _refined_general_opening(self, p_min: int) -> str:
         first = self.vals[self.lo]
-        p_min = pos_of[self.vlo]
         plans = []
         for idx, near in enumerate((first - 1, first + 1)):
             if near > self.vhi:
                 continue
-            pa = pos_of[near]
+            pa = self.vals.index(near)
             s, t = min(p_min, pa), max(p_min, pa)
             clean = self._gap_clean(self.vals, s) and self._gap_clean(self.vals, t + 1)
             beside_min = self.vals[p_min + 1] if pa > p_min else self.vals[p_min - 1]
@@ -669,36 +746,33 @@ class _Run:
     def _second_opening_moves(self, mid):
         """Candidate second opening moves on the post-first-move state."""
         second = mid[self.lo + 1]
-        spans, seg_of, pos_of = self.structure(mid)
-        p_two = pos_of[self.vlo + 1]
+        view = self.view(mid)
+        p_two = mid.index(self.vlo + 1)
         cands: list[tuple[int, int, int, int]] = []
         order = 0
         for near in (second - 1, second + 1):
             if not self.vlo + 1 <= near <= self.vhi or near == second:
                 continue
-            pb = pos_of[near]
+            pb = mid.index(near)
             if pb <= self.lo + 1:
                 continue
             s, t = min(p_two, pb), max(p_two, pb)
             clean = self._gap_clean(mid, s) and self._gap_clean(mid, t + 1)
             cands.append((0 if clean else 2, order, s, t))
             order += 1
-            nseg = spans[seg_of[pb]]
+            nseg = view.seg(pb)
             if _is_block(nseg) and not (nseg[0] <= p_two < nseg[1]):
                 s2, t2 = min(s, nseg[0]), max(t, nseg[1] - 1)
                 cands.append((3, order, s2, t2))
                 order += 1
-        two_seg = spans[seg_of[p_two]]
+        two_seg = view.seg(p_two)
         if _is_block(two_seg):
             cands.append((1, order, two_seg[0], two_seg[1] - 1))
             order += 1
-        for far in range(self.vlo + 2, self.vhi + 1):
-            if far == second:
-                continue
-            pf = pos_of[far]
-            if pf <= self.lo + 1:
-                continue
-            cands.append((4, far, min(p_two, pf), max(p_two, pf)))
+        # every other value behind the two front places, vlo + 1 excluded
+        for pf in range(self.lo + 2, self.hi + 1):
+            if pf != p_two:
+                cands.append((4, mid[pf], min(p_two, pf), max(p_two, pf)))
         cands.sort()
         seen = set()
         for _, _, s, t in cands:
@@ -714,11 +788,10 @@ class _Run:
         second-smallest value to the back reversed, and shrink the window
         on both sides: min and min+1 are placed in front, max at the back.
         """
-        spans, seg_of, pos_of = self.structure()
-        p_min, p_top = pos_of[self.vlo], pos_of[self.vhi]
+        p_min, p_top = self.vals.index(self.vlo), self.vals.index(self.vhi)
         if abs(p_top - p_min) != 1:
             return False
-        top_seg = spans[seg_of[p_top]]
+        top_seg = self.view().seg(p_top)
         if p_top > p_min:
             if top_seg[0] != p_top:
                 return False

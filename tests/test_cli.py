@@ -174,3 +174,30 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, *argv)
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
+
+
+class TestMalformedInput:
+    """Each ends with one `error:` line and exit 1, never a traceback."""
+
+    def assert_one_line_error(self, capsys, *argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_bench_zero_reps(self, capsys):
+        self.assert_one_line_error(capsys, "bench", "--n", "10", "--reps", "0")
+
+    def test_table_negative_n(self, capsys):
+        self.assert_one_line_error(capsys, "table", "--n", "-3")
+
+    def test_verify_trace_is_a_directory(self, capsys, tmp_path):
+        self.assert_one_line_error(capsys, "verify", "--trace", str(tmp_path))
+
+    def test_verify_trace_is_not_ascii(self, capsys, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_bytes("n 2\ninit 2 1\n# \u00e9t\u00e9\n".encode("utf-8"))
+        self.assert_one_line_error(capsys, "verify", "--trace", str(path))
+
+    def test_witness_limit_above_the_count(self, capsys):
+        self.assert_one_line_error(capsys, "witness", "--n", "9", "--limit", "14401")

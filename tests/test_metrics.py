@@ -20,7 +20,11 @@ from cutsort import (
     parse_permutation,
     weight_thirds,
 )
-from cutsort.metrics import min_parity_adjacencies
+from cutsort.metrics import (
+    hard_witness_count,
+    min_parity_adjacencies,
+    parity_adjacency_count_values,
+)
 
 
 def naive_runs(values, circular):
@@ -272,3 +276,19 @@ class TestHardWitnesses:
     def test_rejects_tiny_n(self):
         with pytest.raises(InputError):
             hard_witnesses(1, limit=5)
+
+    def test_count_matches_enumeration(self):
+        for n in range(1, 9):
+            target = min_parity_adjacencies(n)
+            found = sum(
+                1
+                for values in itertools.permutations(range(1, n + 1))
+                if parity_adjacency_count_values(values) == target
+            )
+            assert hard_witness_count(n) == found
+
+    def test_limit_above_the_count_is_rejected_for_large_n(self):
+        assert hard_witness_count(9) == 14_400
+        for n in (9, 12):
+            with pytest.raises(InputError, match="exceeds"):
+                hard_witnesses(n, limit=hard_witness_count(n) + 1)

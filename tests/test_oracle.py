@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 from cutsort import (
+    InputError,
     Permutation,
     ResourceGuardError,
     apply_move,
@@ -73,6 +74,11 @@ class TestBuildTable:
         for values in itertools.permutations(range(1, 5)):
             p = Permutation(values)
             assert table.distance_of(p) == bfs_distance(p)
+
+    def test_rejects_nonpositive_n(self):
+        for n in (0, -3):
+            with pytest.raises(InputError):
+                build_table(n)
 
     def test_guard_refuses_n9_without_flag(self):
         with pytest.raises(ResourceGuardError):
@@ -167,6 +173,23 @@ class TestPersistence:
         path = tmp_path / "bad.csv"
         path.write_text("# n=3\nrank,distance\n0,0\n")
         with pytest.raises(Exception):
+            load_table(str(path))
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("# n=2\nrank,distance\n0,0\n5,1\n", 4),  # rank >= n!
+            ("# n=2\nrank,distance\n-1,1\n0,0\n", 3),  # negative rank
+            ("# n=2\nrank,distance\n0,0\n1,x\n", 4),  # non-integer distance
+            ("# n=2\nrank,distance\nzero,0\n1,1\n", 3),  # non-integer rank
+            ("# n=2\nrank,distance\n0,0\n1,256\n", 4),  # distance > 255
+            ("# n=1\nrank,distance\n0,0\n0,1\n", 4),  # duplicated rank
+        ],
+    )
+    def test_load_names_the_bad_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=f"line {line}:"):
             load_table(str(path))
 
 

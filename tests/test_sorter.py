@@ -2,9 +2,13 @@ import itertools
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutsort import (
     Mode,
+    Move,
+    MoveKind,
     Permutation,
     StepCategory,
     audit_result,
@@ -21,7 +25,9 @@ from cutsort import (
     sort_monotone,
     sort_refined,
 )
-from cutsort.sorter import GAIN_FLOORS
+from cutsort.metrics import weight_thirds_values
+from cutsort.perm import adjacency_count_values, apply_move_values, enumerate_moves
+from cutsort.sorter import GAIN_FLOORS, move_deltas
 
 
 def sqrt_ceil(n):
@@ -137,6 +143,57 @@ class TestStepPlanner:
                     floor = GAIN_FLOORS.get(step.category)
                     if floor is not None:
                         assert step.claimed_gain >= floor
+
+
+def recomputed_deltas(before, m, mode, lo, hi):
+    """move_deltas' answer by full recomputation."""
+    after = apply_move_values(before, m)
+    adjacency = adjacency_count_values(after) - adjacency_count_values(before)
+    weight = weight_thirds_values(after, mode, lo, hi, lo + 1) - weight_thirds_values(
+        before, mode, lo, hi, lo + 1
+    )
+    return after, (adjacency, weight)
+
+
+@st.composite
+def linear_windows_and_moves(draw):
+    """A LINEAR window [lo, hi] with its outside in place, and a move inside it."""
+    n = draw(st.integers(2, 40))
+    lo = draw(st.integers(0, n - 2))
+    hi = draw(st.integers(lo + 1, n - 1))
+    window = draw(st.permutations(range(lo + 1, hi + 2)))
+    values = list(range(1, lo + 1)) + list(window) + list(range(hi + 2, n + 1))
+    i, j, k = sorted(
+        draw(st.lists(st.integers(lo, hi + 1), min_size=3, max_size=3, unique=True))
+    )
+    kind = draw(st.sampled_from(MoveKind))
+    move = Move(i, k, k, kind) if kind is MoveKind.REVERSE else Move(i, j, k, kind)
+    return values, move, lo, hi
+
+
+class TestMoveDeltas:
+    def test_every_move_on_small_n_in_both_modes(self):
+        for n in range(1, 7):
+            moves = enumerate_moves(n)
+            for p in perms(n):
+                before = list(p.values)
+                for mode in Mode:
+                    for m in moves:
+                        after, expected = recomputed_deltas(before, m, mode, 0, n - 1)
+                        assert move_deltas(before, after, m, mode, 0, n - 1) == expected
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(linear_windows_and_moves())
+    def test_linear_windows(self, case):
+        values, m, lo, hi = case
+        after, expected = recomputed_deltas(values, m, Mode.LINEAR, lo, hi)
+        assert move_deltas(values, after, m, Mode.LINEAR, lo, hi) == expected
+
+    def test_rejects_a_move_leaving_the_window(self):
+        values = [1, 3, 2, 4]
+        m = Move(0, 2, 3, MoveKind.SWAP)
+        with pytest.raises(ValueError):
+            move_deltas(values, apply_move_values(values, m), m, Mode.LINEAR, 1, 2)
 
 
 class TestSortInsertion:
