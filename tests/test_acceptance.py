@@ -6,9 +6,12 @@ over all permutations of n <= 8 and the exact distance tables are built
 once per session and shared between criteria.
 """
 
+import hashlib
 import itertools
+import json
 import random
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -245,3 +248,10 @@ def test_criterion_8_distance_tables(tables, tmp_path):
     back = load_table(str(tmp_path / "table8.csv"))
     assert back.fmax == fmax_by_n[8]
     print(f"\nACCEPTANCE 8 PASS: exact worst cases f(n) = {fmax_by_n} within brackets")
+
+
+def test_distance_table_n8_matches_golden_manifest(tables):
+    """The n=8 table is byte-identical to the golden manifest (n <= 7 are unit tests)."""
+    manifest = json.loads(Path(__file__).with_name("golden_tables.json").read_text())
+    assert hashlib.sha256(tables(8).distances).hexdigest() == manifest["n8"]
+    print("\nACCEPTANCE golden table PASS: n=8 distances match the manifest")
