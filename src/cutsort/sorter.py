@@ -225,6 +225,10 @@ class _Blocks:
         return (p, p + 1)
 
 
+# A validated step and the value list it leads to, as `measure` produced it.
+_Planned = tuple[SortStep, list[int]]
+
+
 class _Run:
     """Mutable sorting state over a position window [lo, hi]."""
 
@@ -305,13 +309,13 @@ class _Run:
             cur = nxt
         return cur, gain
 
-    def commit(self, step: SortStep) -> None:
+    def commit(self, step: SortStep, post: list[int]) -> None:
+        """Record a step; `post` is the value list `measure` produced for it."""
         self.notes.append(
             TraceNote(len(self.moves), step.category.value, step.claimed_gain)
         )
-        for m in step.moves:
-            self.vals = apply_move_values(self.vals, m)
-            self.moves.append(m)
+        self.vals = post
+        self.moves.extend(step.moves)
         self.steps.append(step)
 
     def commit_checked(self, moves, category: StepCategory) -> None:
@@ -320,17 +324,18 @@ class _Run:
             raise DiagnosticFailure(
                 f"{category.value} move breaks adjacencies", tuple(self.vals)
             )
-        _, gain = measured
+        post, gain = measured
         self.commit(
-            SortStep(tuple(moves), category, gain, (self.lo, self.hi), self.mode)
+            SortStep(tuple(moves), category, gain, (self.lo, self.hi), self.mode), post
         )
 
     # ------------------------------------------------------------------
-    # Main-loop step planners.  Each returns a validated SortStep or None.
-    # All planners of one step share one _Blocks view of the current state.
+    # Main-loop step planners.  Each returns a validated SortStep with the
+    # values it leads to, or None.  All planners of one step share one
+    # _Blocks view of the current state.
     # ------------------------------------------------------------------
 
-    def _try_step(self, moves, category: StepCategory) -> SortStep | None:
+    def _try_step(self, moves, category: StepCategory) -> _Planned | None:
         measured = self.measure(moves)
         if measured is None:
             return None
@@ -339,9 +344,10 @@ class _Run:
             return None
         if not self.front_ok(post):
             return None
-        return SortStep(tuple(moves), category, gain, (self.lo, self.hi), self.mode)
+        step = SortStep(tuple(moves), category, gain, (self.lo, self.hi), self.mode)
+        return step, post
 
-    def plan_block_merge(self, view: _Blocks) -> SortStep | None:
+    def plan_block_merge(self, view: _Blocks) -> _Planned | None:
         """Consecutive values in two distinct blocks: merge them.
 
         Such values are block endpoints, so only endpoints are walked, in
@@ -372,9 +378,9 @@ class _Run:
                 move = self._merge_move(blocks[cut_seg], blocks[keep_seg], pcut, pkeep)
                 if move is None:
                     continue
-                step = self._try_step([move], StepCategory.BLOCK)
-                if step is not None:
-                    return step
+                planned = self._try_step([move], StepCategory.BLOCK)
+                if planned is not None:
+                    return planned
         return None
 
     def _merge_move(self, cut, keep, pcut: int, pkeep: int) -> Move | None:
@@ -391,7 +397,7 @@ class _Run:
         except ValueError:
             return None
 
-    def plan_menu(self, view: _Blocks) -> SortStep | None:
+    def plan_menu(self, view: _Blocks) -> _Planned | None:
         """The bonus / absorbing-pair case analysis at the front block."""
         if not self.front_ok(self.vals):
             return None
@@ -431,18 +437,18 @@ class _Run:
             s, t = min(pos_fn, pc), max(pos_fn, pc)
             move = splice_move(s, t + 1, gap, reverse=pc < pos_fn)
             category = StepCategory.BONUS if rank == 0 else StepCategory.EXTRA_BONUS
-            step = self._try_step([move], category)
-            if step is not None:
-                return step
+            planned = self._try_step([move], category)
+            if planned is not None:
+                return planned
         for rank, cand, pc, cseg in cands:
             if rank != 2:
                 continue
-            step = self._plan_absorbing_pair(gap, front_next, pc, cseg)
-            if step is not None:
-                return step
+            planned = self._plan_absorbing_pair(gap, front_next, pc, cseg)
+            if planned is not None:
+                return planned
         return None
 
-    def _plan_absorbing_pair(self, gap, front_next, pc, cseg) -> SortStep | None:
+    def _plan_absorbing_pair(self, gap, front_next, pc, cseg) -> _Planned | None:
         far_pos = cseg[1] - 1 if pc == cseg[0] else cseg[0]
         far_end = self.vals[far_pos]
         far_next_cands = [
@@ -462,12 +468,12 @@ class _Run:
             if s <= gap + (cseg[1] - cseg[0]):
                 continue  # the string must stay clear of the re-homed block
             move_b = splice_move(s, t + 1, gap, reverse=p_qn < p_fn)
-            step = self._try_step([move_a, move_b], StepCategory.ABSORBING_PAIR)
-            if step is not None:
-                return step
+            planned = self._try_step([move_a, move_b], StepCategory.ABSORBING_PAIR)
+            if planned is not None:
+                return planned
         return None
 
-    def plan_fallback_single(self, min_gain: int, view: _Blocks) -> SortStep | None:
+    def plan_fallback_single(self, min_gain: int, view: _Blocks) -> _Planned | None:
         """
         Deterministic scan for any single insertion that creates matching
         junctions at some slot and measurably gains at least `min_gain`
@@ -490,9 +496,9 @@ class _Run:
                     if xseg[0] < front_stop or xseg[0] <= g - 1 < xseg[1]:
                         continue
                     move = splice_move(xseg[0], xseg[1], g, reverse=px != xseg[0])
-                    step = self._try_move_on(base, move, min_gain)
-                    if step is not None:
-                        return step
+                    planned = self._try_move_on(base, move, min_gain)
+                    if planned is not None:
+                        return planned
                 continue
             ys = [y for y in (self.pred(w), self.succ(w)) if y is not None and y != u]
             for x in xs:
@@ -503,21 +509,22 @@ class _Run:
                     if s < front_stop or s <= g - 1 <= t or s <= g <= t:
                         continue
                     move = splice_move(s, t + 1, g, reverse=px > py)
-                    step = self._try_move_on(base, move, min_gain)
-                    if step is not None:
-                        return step
+                    planned = self._try_move_on(base, move, min_gain)
+                    if planned is not None:
+                        return planned
         return None
 
-    def _try_move_on(self, base, move, min_gain) -> SortStep | None:
+    def _try_move_on(self, base, move, min_gain) -> _Planned | None:
         measured = self.measure([move], start=base)
         if measured is None:
             return None
         post, gain = measured
         if gain < min_gain or not self.front_ok(post):
             return None
-        return SortStep((move,), StepCategory.BONUS, gain, (self.lo, self.hi), self.mode)
+        step = SortStep((move,), StepCategory.BONUS, gain, (self.lo, self.hi), self.mode)
+        return step, post
 
-    def plan_fallback_pair(self, view: _Blocks) -> SortStep | None:
+    def plan_fallback_pair(self, view: _Blocks) -> _Planned | None:
         """Absorbing move plus a compensating insertion, found by scan."""
         front_stop = view.seg(self.lo)[1]
         for seg in view.blocks:
@@ -551,13 +558,14 @@ class _Run:
                         follow = self.plan_fallback_single(6 - gain_a, self.view(mid))
                         if follow is None:
                             continue
-                        moves = (move_a,) + follow.moves
-                        step = self._try_step(list(moves), StepCategory.ABSORBING_PAIR)
-                        if step is not None:
-                            return step
+                        moves = (move_a,) + follow[0].moves
+                        category = StepCategory.ABSORBING_PAIR
+                        planned = self._try_step(list(moves), category)
+                        if planned is not None:
+                            return planned
         return None
 
-    def plan_next(self) -> SortStep | None:
+    def plan_next(self) -> _Planned | None:
         view = self.view()
         return (
             self.plan_block_merge(view)
@@ -569,10 +577,10 @@ class _Run:
     def main_loop(self, done) -> None:
         budget = 3 * self.n + 16
         while not done():
-            step = self.plan_next()
-            if step is None:
+            planned = self.plan_next()
+            if planned is None:
                 raise DiagnosticFailure("no valid step", tuple(self.vals))
-            self.commit(step)
+            self.commit(*planned)
             budget -= 1
             if budget <= 0:
                 raise DiagnosticFailure("step budget exceeded", tuple(self.vals))
@@ -649,7 +657,8 @@ class _Run:
                     measured[1],
                     (self.lo, self.hi),
                     self.mode,
-                )
+                ),
+                measured[0],
             )
             return
         raise DiagnosticFailure("no valid opening move", tuple(self.vals))
@@ -887,10 +896,10 @@ def plan_step(p: Permutation, mode: Mode) -> SortStep:
     mode: anchored at value 1).  Used to inspect the case analysis.
     """
     run = _Run(p.values, mode)
-    step = run.plan_next()
-    if step is None:
+    planned = run.plan_next()
+    if planned is None:
         raise DiagnosticFailure("no valid step", p.values)
-    return step
+    return planned[0]
 
 
 def sort_insertion(p: Permutation) -> SortResult:

@@ -12,11 +12,46 @@ from cutsort import (
     certify_lower_bound,
     enumerate_moves,
     parse_permutation,
+    random_permutation,
     rank_permutation,
     sort_refined,
     unrank_permutation,
 )
-from cutsort.oracle import build_table, load_table, save_table, save_witnesses, verify_certificates
+from cutsort.oracle import (
+    _move_gathers,
+    build_table,
+    load_table,
+    save_table,
+    save_witnesses,
+    verify_certificates,
+)
+
+
+def inverse_of(values):
+    inverse = [0] * len(values)
+    for pos, v in enumerate(values):
+        inverse[v - 1] = pos + 1
+    return tuple(inverse)
+
+
+class TestMoveGathers:
+    def test_closed_under_inversion(self):
+        # build_table's symmetric BFS and bfs_distance's ball around the
+        # identity both rest on this: every move is undone by a move
+        for n in range(1, 10):
+            positions = tuple(range(n))
+            sigmas = {gather(positions) for gather in _move_gathers(n)}
+            for sigma in sigmas:
+                undo = [0] * n
+                for pos, source in enumerate(sigma):
+                    undo[source] = pos
+                assert tuple(undo) in sigmas, (n, sigma)
+
+    def test_gather_is_the_move(self):
+        for n in range(2, 7):
+            state = tuple(range(n, 0, -1))
+            for gather, m in zip(_move_gathers(n), enumerate_moves(n)):
+                assert gather(state) == apply_move(Permutation(state), m).values
 
 
 class TestRanking:
@@ -47,6 +82,24 @@ class TestBfsDistance:
     def test_guard_refuses_large_n(self):
         with pytest.raises(ResourceGuardError):
             bfs_distance(Permutation.identity(10))
+
+    def test_disconnected_graph_raises_instead_of_looping(self, monkeypatch):
+        monkeypatch.setattr("cutsort.oracle._move_gathers", lambda n: [])
+        with pytest.raises(AssertionError, match="unreachable"):
+            bfs_distance(parse_permutation("2 1"))
+
+    def test_matches_table_on_all_of_s6(self, tables):
+        table = tables(6)
+        for values in itertools.permutations(range(1, 7)):
+            p = Permutation(values)
+            assert bfs_distance(p) == table.distance_of(p), values
+
+    def test_matches_table_on_seeded_s7_and_inverses(self, tables):
+        table = tables(7)
+        for seed in range(200):
+            p = random_permutation(7, seed)
+            for q in (p, Permutation(inverse_of(p.values))):
+                assert bfs_distance(q) == table.distance_of(q), q.values
 
 
 class TestBuildTable:
@@ -106,15 +159,13 @@ class TestBuildTable:
                 assert abs(table.distance_of(apply_move(p, m)) - d) <= 1
 
     def test_inverse_symmetry_observed(self, tables):
-        # not assumed by the implementation; verified here for n <= 6
+        # d(p) = d(p^-1) follows from the closure of the move set under
+        # inverses (TestMoveGathers); the tables are not built from it
         for n in (4, 5, 6):
             table = tables(n)
             for values in itertools.permutations(range(1, n + 1)):
-                inverse = [0] * n
-                for pos, v in enumerate(values):
-                    inverse[v - 1] = pos + 1
                 assert table.distance_of(Permutation(values)) == table.distance_of(
-                    Permutation(tuple(inverse))
+                    Permutation(inverse_of(values))
                 )
 
     def test_witness_cap_recorded(self):
