@@ -15,7 +15,7 @@ Distances from the identity equal distances to the identity: every
 canonical move is undone by another canonical move (the set of gathers
 is closed under inversion), so the move graph is symmetric.  A resource
 guard rejects tables above n = 8 unless asked for n = 9, and single
-queries above n = 9.  On one core, `build_table(8)` takes about 16
+queries above n = 9.  On one core, `build_table(8)` takes about 20
 seconds and `build_table(9)` about 5 minutes; a single `bfs_distance`
 query at n <= 9 takes under 0.1 seconds.
 """
@@ -88,7 +88,10 @@ class DistanceTable:
 
 
 def _move_gathers(n: int) -> list[itemgetter]:
-    """Every canonical move of length n as a position gather on tuples."""
+    """Every canonical move of length n as a position gather on tuples.
+
+    Moves exist only for n >= 2, so every gather returns a tuple.
+    """
     positions = list(range(n))
     return [itemgetter(*apply_move_values(positions, m)) for m in enumerate_moves(n)]
 

@@ -559,8 +559,7 @@ class _Run:
                         if follow is None:
                             continue
                         moves = (move_a,) + follow[0].moves
-                        category = StepCategory.ABSORBING_PAIR
-                        planned = self._try_step(list(moves), category)
+                        planned = self._try_step(list(moves), StepCategory.ABSORBING_PAIR)
                         if planned is not None:
                             return planned
         return None

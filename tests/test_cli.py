@@ -98,6 +98,16 @@ class TestBoundAndDistance:
         assert code == 0
         assert "distance=2" in out and "refined_moves=2" in out
 
+    def test_distance_at_n9(self, capsys):
+        code, out, _ = run_cli(capsys, "distance", "--perm", "2 4 6 8 1 3 5 7 9")
+        assert code == 0
+        assert "distance=4" in out
+
+    def test_distance_guard_exit_three(self, capsys):
+        code, _, err = run_cli(capsys, "distance", "--perm", "2 1 3 4 5 6 7 8 9 10")
+        assert code == 3
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestTableAndWitness:
     def test_table_summary_forced_at_n4(self, capsys, tmp_path):

@@ -9,7 +9,7 @@ and never `--allow-n9`, `distance` on n <= 8, `bench` on n <= 50 with
 `--reps` <= 2, and `witness` with n <= 12 and a small `--limit`.
 
 Placeholders in a drawn argv name paths in a per-module directory: @FILE
-holds the drawn file text, @OUT is a fresh output file, @DIR the directory
+holds the drawn file text, @OUT is an output file, @DIR the directory
 itself and @MISSING a path that does not exist.
 """
 
@@ -85,77 +85,6 @@ trace_bytes = st.one_of(
 )
 
 
-def _sort():
-    return st.builds(
-        lambda algo, source, out: (["sort", "--algo", algo, *source[0], *out], source[1], None),
-        st.sampled_from(ALGORITHMS),
-        perm_source(12),
-        out_path,
-    )
-
-
-def _verify():
-    return st.builds(
-        lambda path, bound, data: (["verify", "--trace", path, *bound], "", data),
-        st.sampled_from(["@FILE", "@FILE", "@FILE", "@DIR", "@MISSING"]),
-        st.one_of(st.just([]), small_int.map(lambda b: ["--bound", str(b)])),
-        trace_bytes,
-    )
-
-
-def _distance():
-    return perm_source(8).map(lambda source: (["distance", *source[0]], source[1], None))
-
-
-def _bound():
-    return perm_source(12).map(lambda source: (["bound", *source[0]], source[1], None))
-
-
-def _table():
-    return st.builds(
-        lambda n, limit, out: (["table", "--n", str(n), *limit, *out], "", None),
-        st.integers(-3, 6),
-        st.one_of(st.just([]), st.integers(-2, 5).map(lambda k: ["--limit", str(k)])),
-        out_path,
-    )
-
-
-def _witness():
-    return st.builds(
-        lambda n, limit, seed, out: (
-            ["witness", "--n", str(n), "--limit", str(limit), "--seed", str(seed), *out],
-            "",
-            None,
-        ),
-        st.integers(-2, 12),
-        st.integers(-2, 6),
-        st.integers(0, 5),
-        out_path,
-    )
-
-
-def _random():
-    return st.builds(
-        lambda n, seed: (["random", "--n", str(n), "--seed", str(seed)], "", None),
-        st.integers(-3, 50),
-        st.integers(-2, 5),
-    )
-
-
-def _bench():
-    return st.builds(
-        lambda ns, algo, reps, out: (
-            ["bench", "--n", *map(str, ns), "--algo", algo, "--reps", str(reps), *out],
-            "",
-            None,
-        ),
-        st.lists(st.integers(-3, 50), min_size=1, max_size=3),
-        st.sampled_from(ALGORITHMS + ["all"]),
-        st.integers(-1, 2),
-        out_path,
-    )
-
-
 # Token soup for the parser itself.  It holds no --out (a bare token would
 # name a file in the working directory), no --allow-n9, and no number
 # above 6, so every table, distance and bench it can spell stays small.
@@ -165,21 +94,58 @@ TOKENS = [
     "-h", "refined", "all", "-1", "0", "1", "2", "6", "x", "", "2 1", "3 1 2", "@MISSING",
 ]
 
-
-def _argv_soup():
-    return st.lists(st.sampled_from(TOKENS), max_size=8).map(lambda argv: (argv, "", None))
-
-
+# Each strategy draws (argv, stdin text, bytes for @FILE or None).
 STRATEGIES = {
-    "sort": _sort(),
-    "verify": _verify(),
-    "distance": _distance(),
-    "table": _table(),
-    "witness": _witness(),
-    "bound": _bound(),
-    "random": _random(),
-    "bench": _bench(),
-    "argv-soup": _argv_soup(),
+    "sort": st.builds(
+        lambda algo, source, out: (["sort", "--algo", algo, *source[0], *out], source[1], None),
+        st.sampled_from(ALGORITHMS),
+        perm_source(12),
+        out_path,
+    ),
+    "verify": st.builds(
+        lambda path, bound, data: (["verify", "--trace", path, *bound], "", data),
+        st.sampled_from(["@FILE", "@FILE", "@FILE", "@DIR", "@MISSING"]),
+        st.one_of(st.just([]), small_int.map(lambda b: ["--bound", str(b)])),
+        trace_bytes,
+    ),
+    "distance": perm_source(8).map(lambda source: (["distance", *source[0]], source[1], None)),
+    "bound": perm_source(12).map(lambda source: (["bound", *source[0]], source[1], None)),
+    "table": st.builds(
+        lambda n, limit, out: (["table", "--n", str(n), *limit, *out], "", None),
+        st.integers(-3, 6),
+        st.one_of(st.just([]), st.integers(-2, 5).map(lambda k: ["--limit", str(k)])),
+        out_path,
+    ),
+    "witness": st.builds(
+        lambda n, limit, seed, out: (
+            ["witness", "--n", str(n), "--limit", str(limit), "--seed", str(seed), *out],
+            "",
+            None,
+        ),
+        st.integers(-2, 12),
+        st.integers(-2, 6),
+        st.integers(0, 5),
+        out_path,
+    ),
+    "random": st.builds(
+        lambda n, seed: (["random", "--n", str(n), "--seed", str(seed)], "", None),
+        st.integers(-3, 50),
+        st.integers(-2, 5),
+    ),
+    "bench": st.builds(
+        lambda ns, algo, reps, out: (
+            ["bench", "--n", *map(str, ns), "--algo", algo, "--reps", str(reps), *out],
+            "",
+            None,
+        ),
+        st.lists(st.integers(-3, 50), min_size=1, max_size=3),
+        st.sampled_from(ALGORITHMS + ["all"]),
+        st.integers(-1, 2),
+        out_path,
+    ),
+    "argv-soup": st.lists(st.sampled_from(TOKENS), max_size=8).map(
+        lambda argv: (argv, "", None)
+    ),
 }
 
 
