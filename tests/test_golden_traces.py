@@ -1,10 +1,11 @@
 """
-Golden-trace manifest: the weight sorters' traces must stay byte-identical.
+Golden-trace manifest: the sorters' traces must stay byte-identical.
 
 Each manifest entry is the SHA-256 of `format_trace` output: one entry per
 (algorithm, n) covering every permutation of n <= 6 in lexicographic
 order, and one per (algorithm, seed) for `random_permutation(200, seed)`,
-seeds 0-49.  A refactor of the sorters keeps every hash.
+seeds 0-49.  The algorithms are the two weight sorters and the insertion
+and monotone baselines.  A refactor of the sorters keeps every hash.
 
 Regenerate the manifest (only when a trace change is intended):
 
@@ -17,10 +18,23 @@ import json
 import sys
 from pathlib import Path
 
-from cutsort import Permutation, format_trace, random_permutation, sort_basic, sort_refined
+from cutsort import (
+    Permutation,
+    format_trace,
+    random_permutation,
+    sort_basic,
+    sort_insertion,
+    sort_monotone,
+    sort_refined,
+)
 
 MANIFEST = Path(__file__).with_name("golden_traces.json")
-ALGORITHMS = {"refined": sort_refined, "basic": sort_basic}
+ALGORITHMS = {
+    "refined": sort_refined,
+    "basic": sort_basic,
+    "insertion": sort_insertion,
+    "monotone": sort_monotone,
+}
 SMALL_N = range(1, 7)
 LARGE_N = 200
 SEEDS = range(50)
