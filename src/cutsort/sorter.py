@@ -906,16 +906,14 @@ def sort_insertion(p: Permutation) -> SortResult:
     vals = list(p.values)
     run = _Run(p.values, Mode.LINEAR)  # reused only as a move recorder
     moves: list[Move] = []
-    k = 1
-    while k < len(vals):
-        if vals[k] > vals[k - 1]:
-            k += 1
+    for k in range(1, len(vals)):
+        v = vals[k]
+        if v > vals[k - 1]:
             continue
-        slot = bisect_left(vals, vals[k], 0, k)
-        move = splice_move(k, k + 1, slot, reverse=False)
-        vals = apply_move_values(vals, move)
-        moves.append(move)
-        k += 1
+        slot = bisect_left(vals, v, 0, k)
+        moves.append(splice_move(k, k + 1, slot, reverse=False))
+        del vals[k]  # the move, in place: one element from k back to slot
+        vals.insert(slot, v)
     run.moves = moves
     return _finish(p, run, max(p.n - 1, 0), "insertion", final=vals)
 
@@ -954,29 +952,19 @@ def longest_monotone(p: Permutation) -> tuple[str, tuple[int, ...]]:
 
 def _monotone_lengths(vals, increasing: bool) -> list[int]:
     """lengths[i] = longest monotone run of the given sense starting at i."""
-    n = len(vals)
-    tree = [0] * (n + 1)
-
-    def update(i: int, value: int) -> None:
-        while i <= n:
-            if tree[i] < value:
-                tree[i] = value
-            i += i & -i
-
-    def query(i: int) -> int:
-        best = 0
-        while i > 0:
-            if tree[i] > best:
-                best = tree[i]
-            i -= i & -i
-        return best
-
-    lengths = [0] * n
-    for i in range(n - 1, -1, -1):
-        v = vals[i]
-        key = (n + 1 - v) if increasing else v
-        lengths[i] = 1 + query(key - 1)
-        update(key, lengths[i])
+    # Patience sorting from the right: tails[L - 1] is the least key that
+    # starts a run of length L among the positions scanned so far.
+    sign = -1 if increasing else 1
+    tails: list[int] = []
+    lengths = [0] * len(vals)
+    for i in range(len(vals) - 1, -1, -1):
+        key = sign * vals[i]
+        length = bisect_left(tails, key)
+        if length == len(tails):
+            tails.append(key)
+        else:
+            tails[length] = key
+        lengths[i] = length + 1
     return lengths
 
 
@@ -991,19 +979,46 @@ def sort_monotone(p: Permutation) -> SortResult:
     n = len(vals)
     spine = sorted(vals[i] for i in indices)
     members = set(spine)
+    # Positions are counted, not searched.  Values that never move keep
+    # their original order.  A moved value goes straight after its anchor,
+    # which is unmoved or else the value placed just before (values are
+    # placed in increasing order), so it joins the group of one unmoved
+    # value: the one at original position g, or g = -1 at the front.  An
+    # unmoved value at original position i then stands at
+    # i - #(moved from positions < i) + #(moved into groups < i).
+    origin = {v: i for i, v in enumerate(vals)}
+    moved_from: list[int] = []  # original positions of moved values, sorted
+    moved_into: list[int] = []  # their groups, sorted
+
+    def position(i: int) -> int:
+        return i - bisect_left(moved_from, i) + bisect_left(moved_into, i)
+
     moves: list[Move] = []
+    last = last_pos = last_group = None  # the value placed just before
     for v in sorted(vv for vv in vals if vv not in members):
-        pos = vals.index(v)
+        pos = position(origin[v])
         if up:
             rank = bisect_left(spine, v)
-            gap = 0 if rank == 0 else vals.index(spine[rank - 1]) + 1
+            anchor = None if rank == 0 else spine[rank - 1]
         else:
             rank = bisect_left(spine, v + 1)
-            gap = 0 if rank == len(spine) else vals.index(spine[rank]) + 1
-        if gap not in (pos, pos + 1):
-            move = splice_move(pos, pos + 1, gap, reverse=False)
-            vals = apply_move_values(vals, move)
-            moves.append(move)
+            anchor = None if rank == len(spine) else spine[rank]
+        if anchor is None:
+            gap, group = 0, -1
+        elif anchor == last:
+            gap, group = last_pos + 1, last_group  # nothing moved since
+        else:
+            gap, group = position(origin[anchor]) + 1, origin[anchor]
+        if gap in (pos, pos + 1):
+            group = origin[v]
+        else:
+            moves.append(splice_move(pos, pos + 1, gap, reverse=False))
+            del vals[pos]  # the move, in place: one element from pos to gap
+            pos = gap if gap < pos else gap - 1
+            vals.insert(pos, v)
+            insort(moved_from, origin[v])
+            insort(moved_into, group)
+        last, last_pos, last_group = v, pos, group
         insort(spine, v)
     if not up and vals != list(range(1, n + 1)):
         move = splice_move(0, n, 0, reverse=True)
@@ -1029,16 +1044,22 @@ def audit_result(result: SortResult) -> list[str]:
     if result.steps and step_moves != list(result.trace.moves):
         problems.append("steps do not cover the trace moves")
     count = adjacency_count_values(vals)
+    measured = after = None  # the last step's (window, mode), and its weight after
     for step in result.steps:
         lo, hi = step.window
-        before = weight_thirds_values(vals, step.mode, lo, hi, lo + 1)
+        if measured == (lo, hi, step.mode):
+            before = after  # the same values, measured the same way
+        else:
+            before = weight_thirds_values(vals, step.mode, lo, hi, lo + 1)
         for m in step.moves:
             vals = apply_move_values(vals, m)
             now = adjacency_count_values(vals)
             if now < count:
                 problems.append(f"adjacency count dropped on {m}")
             count = now
-        gain = before - weight_thirds_values(vals, step.mode, lo, hi, lo + 1)
+        after = weight_thirds_values(vals, step.mode, lo, hi, lo + 1)
+        measured = (lo, hi, step.mode)
+        gain = before - after
         floor = GAIN_FLOORS.get(step.category)
         if floor is not None and gain < floor:
             problems.append(

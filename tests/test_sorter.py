@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from math import isqrt
 
@@ -335,3 +336,24 @@ class TestResultShape:
     def test_baselines_have_no_step_annotations(self):
         result = sort_insertion(parse_permutation("3 1 2"))
         assert result.steps == () and result.category_histogram == {}
+
+
+class TestAudit:
+    @pytest.mark.parametrize("sort", [sort_basic, sort_refined])
+    def test_a_raised_claim_is_reported_at_every_step(self, sort):
+        # Consecutive steps on one window share a weight measurement; each
+        # step's claim is still checked against its own measured gain.  At
+        # n = 10 the refined sorter's windows shrink between steps.
+        for n, seed in itertools.product((10, 40), range(6)):
+            result = sort(random_permutation(n, seed=seed))
+            assert audit_result(result) == []
+            for index, step in enumerate(result.steps):
+                if step.claimed_gain is None:
+                    continue
+                steps = list(result.steps)
+                steps[index] = dataclasses.replace(step, claimed_gain=step.claimed_gain + 1)
+                problems = audit_result(dataclasses.replace(result, steps=tuple(steps)))
+                assert problems == [
+                    f"{step.category.value} claimed {step.claimed_gain + 1}, "
+                    f"measured {step.claimed_gain}"
+                ], (n, seed, index, problems)
