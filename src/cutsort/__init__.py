@@ -1,20 +1,14 @@
 """Cut-and-paste sorting of permutations with verifiable bounds."""
 
 from .metrics import (
-    BlockDecomposition,
     BoundCertificate,
     Mode,
     Orientation,
-    Segment,
-    SegmentKind,
     certify_lower_bound,
-    decompose,
     even_before_odd,
-    gain_thirds,
     hard_witnesses,
     max_parity_delta,
     parity_adjacencies,
-    weight_thirds,
 )
 from .oracle import (
     DistanceTable,

@@ -20,7 +20,6 @@ from .perm import (
     InputError,
     Permutation,
     adjacency_count_values,
-    apply_move_values,
     format_permutation,
     format_trace,
     is_identity,
@@ -28,6 +27,7 @@ from .perm import (
     parse_trace,
     random_permutation,
     replay,
+    replay_states,
 )
 
 EXIT_OK = 0
@@ -74,13 +74,10 @@ def cmd_verify(args) -> int:
     except UnicodeDecodeError as exc:
         raise InputError(f"{args.trace}: not ASCII text (byte {exc.start})") from None
     trace = parse_trace(text)
-    vals = list(trace.initial.values)
+    vals = trace.initial.values
     count = adjacency_count_values(vals)
     monotone = True
-    for m in trace.moves:
-        if m.k > len(vals):
-            raise InputError(f"cut point k={m.k} out of range")
-        vals = apply_move_values(vals, m)
+    for vals in replay_states(trace):
         now = adjacency_count_values(vals)
         if now < count:
             monotone = False

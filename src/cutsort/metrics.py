@@ -1,16 +1,24 @@
 """
 Structural measures on permutations.
 
-Block decomposition and the weight function drive the bounded sorters:
-a block is a maximal substring (length >= 2) of consecutive values in
-consecutive positions, everything else is a singleton, and
+Block decomposition and the weight function drive the bounded sorters.
+Everything here rests on one step rule, `step_signs(wrap)`: two
+neighbouring values of a window are bound when their difference is +1
+(an increasing step) or -1 (a decreasing one), and under the CIRCULAR
+convention also when it is -wrap (n -> 1, increasing) or +wrap
+(decreasing), where wrap = window size - 1.  A block is a maximal run of
+bound neighbours (length >= 2); a window of distinct values cannot turn
+a run, so each block has one orientation.  Everything else is a
+singleton, and
 
     weight = (#blocks) + (2/3) * (#singletons)
 
 kept here in integer thirds (3 per block, 2 per singleton) so all gain
-accounting is exact.  Under the CIRCULAR convention successor(n) = 1 and
-an increasing block may run through n into 1; under LINEAR there is no
-wrap.
+accounting is exact.  With b_g = 1 for each bound gap of a window of N
+positions, that is weight = 2N - 2 * sum(b_g) + #blocks.  `block_spans`
+is the one pass that finds the blocks; `segment_spans` and
+`weight_thirds_values` are built on it.  Under CIRCULAR the window must
+hold a contiguous range of values; under LINEAR there is no wrap.
 
 Parity adjacencies (consecutive values of opposite parity, counted with
 virtual sentinels 0 and n+1) grow by at most 2 per move, which yields the
@@ -22,14 +30,16 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import factorial
+from operator import sub
 from typing import Sequence
 
 from .perm import (
     InputError,
-    Move,
     Permutation,
     adjacencies,
     apply_move_values,
@@ -41,10 +51,9 @@ class Mode(Enum):
     CIRCULAR = "circular"
     LINEAR = "linear"
 
-
-class SegmentKind(Enum):
-    BLOCK = "block"
-    SINGLETON = "singleton"
+    def wrap(self, lo: int, hi: int) -> int:
+        """The wrap difference of window [lo, hi]: its size - 1, or 0 for LINEAR."""
+        return hi - lo if self is Mode.CIRCULAR else 0
 
 
 class Orientation(Enum):
@@ -52,128 +61,75 @@ class Orientation(Enum):
     DECREASING = "decreasing"
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Half-open position range [start, stop) of one block or singleton."""
+@lru_cache(maxsize=None)
+def step_signs(wrap: int) -> dict[int, int]:
+    """
+    The step rule: each binding difference (right value minus left) maps to
+    +1 (increasing) or -1 (decreasing); any other difference is free.
+    +1 and -1 always bind, and -wrap and +wrap too when wrap > 0.  For
+    wrap = 1, a 2-value circular window, both differences are increasing.
+    The dict is shared between callers and must not be changed.
+    """
+    signs = {-1: -1}
+    if wrap:
+        signs[wrap] = -1
+        signs[-wrap] = 1
+    signs[1] = 1  # written last, so that +1 stays increasing when wrap = 1
+    return signs
 
-    start: int
-    stop: int
-    kind: SegmentKind
-    orientation: Orientation | None
 
-    def __len__(self) -> int:
-        return self.stop - self.start
+_BOUND_RUN = re.compile(rb"\x01+")
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    segments: tuple[Segment, ...]
-    mode: Mode
+def _bound_flags(values: Sequence[int], lo: int, hi: int, wrap: int) -> bytes:
+    """One byte per gap of window [lo, hi]: 1 where its neighbours bind."""
+    signs = step_signs(wrap)
+    return bytes(map(signs.__contains__, map(sub, values[lo + 1 : hi + 1], values[lo:hi])))
 
-    @property
-    def block_count(self) -> int:
-        return sum(1 for s in self.segments if s.kind is SegmentKind.BLOCK)
 
-    @property
-    def singleton_count(self) -> int:
-        return sum(1 for s in self.segments if s.kind is SegmentKind.SINGLETON)
+def block_spans(values: Sequence[int], lo: int, hi: int, wrap: int) -> list[tuple[int, int]]:
+    """
+    The blocks of window [lo, hi], in position order, as absolute half-open
+    (start, stop) ranges; the positions between them are singletons.
+    """
+    flags = _bound_flags(values, lo, hi, wrap)
+    return [(lo + run.start(), lo + run.end() + 1) for run in _BOUND_RUN.finditer(flags)]
 
 
 def segment_spans(
-    values: Sequence[int],
-    mode: Mode,
-    lo: int = 0,
-    hi: int | None = None,
-    vlo: int = 1,
-    vhi: int | None = None,
+    values: Sequence[int], mode: Mode, lo: int = 0, hi: int | None = None
 ) -> list[tuple[int, int, Orientation | None]]:
     """
     Maximal-run decomposition of values[lo:hi+1] as (start, stop, orient)
-    triples with absolute positions.  Value steps are judged by the mode's
-    successor on the value range [vlo, vhi]; CIRCULAR wraps vhi -> vlo.
+    triples with absolute positions: the blocks of `block_spans`, oriented
+    by the sign of their first step, and a (p, p + 1, None) singleton for
+    every position between them.
     """
     if hi is None:
         hi = len(values) - 1
-    if vhi is None:
-        vhi = vlo + (hi - lo)
-    # Value-step test by difference: +1 increasing, -1 decreasing; in
-    # CIRCULAR mode the wrap steps +-(range-1) also bind.  For a 2-value
-    # circular range both tests hold and the increasing branch wins.
-    wrap = (vhi - vlo) if mode is Mode.CIRCULAR else 0
+    wrap = mode.wrap(lo, hi)
+    signs = step_signs(wrap)
     inc, dec = Orientation.INCREASING, Orientation.DECREASING
     spans: list[tuple[int, int, Orientation | None]] = []
-    start = lo
-    direction: Orientation | None = None
-    for t in range(lo, hi):
-        d = values[t + 1] - values[t]
-        if d == 1 or (wrap and d == -wrap):
-            step: Orientation | None = inc
-        elif d == -1 or (wrap and d == wrap):
-            step = dec
-        else:
-            step = None
-        if step is None or (direction is not None and step is not direction):
-            spans.append((start, t + 1, direction))
-            start = t + 1
-            direction = None
-        else:
-            direction = step
-    spans.append((start, hi + 1, direction))
+    pos = lo
+    for start, stop in block_spans(values, lo, hi, wrap):
+        spans.extend((p, p + 1, None) for p in range(pos, start))
+        up = signs[values[start + 1] - values[start]] > 0
+        spans.append((start, stop, inc if up else dec))
+        pos = stop
+    spans.extend((p, p + 1, None) for p in range(pos, hi + 1))
     return spans
 
 
-def decompose(p: Permutation, mode: Mode) -> BlockDecomposition:
-    """Unique maximal decomposition of p into blocks and singletons."""
-    segments = []
-    for start, stop, orient in segment_spans(p.values, mode):
-        if stop - start >= 2:
-            segments.append(Segment(start, stop, SegmentKind.BLOCK, orient))
-        else:
-            segments.append(Segment(start, stop, SegmentKind.SINGLETON, None))
-    return BlockDecomposition(tuple(segments), mode)
-
-
 def weight_thirds_values(
-    values: Sequence[int],
-    mode: Mode,
-    lo: int = 0,
-    hi: int | None = None,
-    vlo: int = 1,
+    values: Sequence[int], mode: Mode, lo: int = 0, hi: int | None = None
 ) -> int:
+    """Weight of window [lo, hi] in integer thirds: 2N - 2 * #bound gaps + #blocks."""
     if hi is None:
         hi = len(values) - 1
-    wrap = (hi - lo) if mode is Mode.CIRCULAR else 0
-    total = 0
-    run = 1
-    direction = 0  # +1 increasing, -1 decreasing, 0 open
-    for t in range(lo, hi):
-        d = values[t + 1] - values[t]
-        if d == 1 or (wrap and d == -wrap):
-            step = 1
-        elif d == -1 or (wrap and d == wrap):
-            step = -1
-        else:
-            step = 0
-        if step == 0 or (direction and step != direction):
-            total += 3 if run >= 2 else 2
-            run = 1
-            direction = 0
-        else:
-            run += 1
-            direction = step
-    return total + (3 if run >= 2 else 2)
-
-
-def weight_thirds(p: Permutation, mode: Mode) -> int:
-    """Weight in integer thirds: 3 per block plus 2 per singleton."""
-    return weight_thirds_values(p.values, mode)
-
-
-def gain_thirds(p: Permutation, m: Move, mode: Mode) -> int:
-    """Weight reduction achieved by a move, in thirds (may be negative)."""
-    before = weight_thirds(p, mode)
-    after = weight_thirds_values(apply_move_values(list(p.values), m), mode)
-    return before - after
+    flags = _bound_flags(values, lo, hi, mode.wrap(lo, hi))
+    blocks = (b"\x00" + flags).count(b"\x00\x01")
+    return 2 * (hi - lo + 1) - 2 * flags.count(1) + blocks
 
 
 def parity_adjacencies(p: Permutation) -> int:
@@ -261,16 +217,18 @@ def hard_witnesses(n: int, limit: int, seed: int = 0) -> list[Permutation]:
 
     For n <= 8 the witnesses are enumerated exhaustively (in lexicographic
     order) and returned whole when they number at most `limit`; otherwise
-    `limit` distinct witnesses are rejection-sampled with the documented
-    shuffle, so results are deterministic per seed.  For n > 8 a `limit`
-    above hard_witness_count(n) raises InputError.
+    `limit` distinct witnesses are drawn from the closed form of
+    `hard_witness_count`: the evens and the odds each shuffled, and for odd
+    n the evens split around the odd run at a uniform point.  Results are
+    deterministic per seed.  A `limit` above hard_witness_count(n) that
+    reaches the drawing raises InputError.
     """
     if n < 2:
         raise InputError("hard witnesses need n >= 2")
     if limit < 0:
         raise InputError("limit must be nonnegative")
-    target = min_parity_adjacencies(n)
     if n <= _EXHAUSTIVE_WITNESS_LIMIT:
+        target = min_parity_adjacencies(n)
         everything = [
             Permutation(values)
             for values in itertools.permutations(range(1, n + 1))
@@ -282,10 +240,12 @@ def hard_witnesses(n: int, limit: int, seed: int = 0) -> list[Permutation]:
     if limit > count:
         raise InputError(f"limit {limit} exceeds the {count} witnesses for n={n}")
     rng = random.Random(seed)
-    sampled: dict[tuple[int, ...], Permutation] = {}
-    while len(sampled) < limit:
-        values = list(range(1, n + 1))
-        rng.shuffle(values)
-        if parity_adjacency_count_values(values) == target:
-            sampled.setdefault(tuple(values), Permutation(tuple(values)))
-    return list(sampled.values())
+    evens, odds = list(range(2, n + 1, 2)), list(range(1, n + 1, 2))
+    drawn: dict[tuple[int, ...], Permutation] = {}
+    while len(drawn) < limit:
+        rng.shuffle(evens)
+        rng.shuffle(odds)
+        split = rng.randint(0, len(evens)) if n % 2 else len(evens)
+        values = tuple(evens[:split] + odds + evens[split:])
+        drawn.setdefault(values, Permutation(values))
+    return list(drawn.values())

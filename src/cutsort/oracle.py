@@ -218,15 +218,14 @@ class VerificationReport:
         return not self.violations
 
 
-def verify_certificates(table: DistanceTable, sorter=None) -> VerificationReport:
+def verify_certificates(table: DistanceTable) -> VerificationReport:
     """
     Cross-check the whole table: certificate <= exact distance, and
-    exact distance <= the sorter's move count (default: the anchored
-    floor(2n/3) sorter).  Also checks the even-before-odd witness.
+    exact distance <= the move count of the anchored floor(2n/3) sorter.
+    Also checks the even-before-odd witness.
     """
-    from . import sorter as sorter_mod
+    from . import sorter
 
-    sort = sorter_mod.sort_refined if sorter is None else sorter
     n = table.n
     violations: list[str] = []
     worst_gap = 0
@@ -236,7 +235,7 @@ def verify_certificates(table: DistanceTable, sorter=None) -> VerificationReport
         if cert.best > d:
             violations.append(f"certificate {cert.best} exceeds distance {d} for {p}")
         worst_gap = max(worst_gap, d - cert.best)
-        moves = sort(p).move_count
+        moves = sorter.sort_refined(p).move_count
         if moves < d:
             violations.append(f"sorter used {moves} < exact distance {d} for {p}")
     if n >= 2:

@@ -29,7 +29,7 @@ class InputError(ValueError):
 
 
 class ParseError(InputError):
-    """Text input rejected; carries the 1-based token or line position."""
+    """Input rejected at a 1-based position: a permutation value, token or line."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (position {position})")
@@ -84,9 +84,9 @@ class Permutation:
         seen = [False] * (n + 1)
         for pos, v in enumerate(self.values, start=1):
             if not isinstance(v, int) or not 1 <= v <= n:
-                raise InputError(f"value {v} out of range for n={n} (position {pos})")
+                raise ParseError(f"value {v} out of range for n={n}", pos)
             if seen[v]:
-                raise InputError(f"duplicate value {v} (position {pos})")
+                raise ParseError(f"duplicate value {v}", pos)
             seen[v] = True
 
     @property
@@ -189,14 +189,22 @@ class Trace:
     annotations: tuple[TraceNote, ...] = field(default=())
 
 
-def replay(t: Trace) -> Permutation:
-    """Fold the trace's moves over its initial permutation."""
+def replay_states(t: Trace):
+    """Yield the value list after each of the trace's moves, in order."""
     values = list(t.initial.values)
     n = len(values)
     for idx, m in enumerate(t.moves):
         if m.k > n:
             raise ReplayError(f"cut point k={m.k} out of range for n={n}", idx)
         values = apply_move_values(values, m)
+        yield values
+
+
+def replay(t: Trace) -> Permutation:
+    """Fold the trace's moves over its initial permutation."""
+    values = t.initial.values
+    for values in replay_states(t):
+        pass
     return Permutation(tuple(values))
 
 
@@ -212,14 +220,6 @@ def parse_permutation(text: str) -> Permutation:
         except ValueError:
             raise ParseError(f"not an integer: {tok!r}", pos) from None
         values.append(v)
-    n = len(values)
-    seen = set()
-    for pos, v in enumerate(values, start=1):
-        if not 1 <= v <= n:
-            raise ParseError(f"value {v} out of range for n={n}", pos)
-        if v in seen:
-            raise ParseError(f"duplicate value {v}", pos)
-        seen.add(v)
     return Permutation(tuple(values))
 
 

@@ -31,9 +31,10 @@ four facts:
     and i, i+k-j, k after (i and k for REVERSE);
   * a reversed piece keeps every inner |difference|, so its inner pairs
     stay adjacent or not, and bound or not;
-  * with b_g = 1 when gap g inside the window (lo, hi] is bound under the
-    mode's step test, weight = 2N - sum(b_g) - sum(b_g * b_{g-1}) for a
-    window of N positions: 2 per segment plus 1 per block;
+  * with b_g = 1 when gap g inside the window (lo, hi] is bound under
+    `metrics.step_signs`, the one step rule, weight = 2N - sum(b_g) -
+    sum(b_g * b_{g-1}) for a window of N positions: 2 per segment plus 1
+    per block;
   * a window holds distinct values, so a run never changes direction,
     and every maximal run of bound gaps is exactly one block.
 
@@ -46,14 +47,12 @@ Baselines: `sort_insertion` (<= n-1 moves) and `sort_monotone`
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
-from operator import sub
 
-from .metrics import Mode, Orientation, segment_spans, weight_thirds_values
+from .metrics import Mode, block_spans, step_signs, weight_thirds_values
 from .perm import (
     Move,
     MoveKind,
@@ -147,7 +146,7 @@ def _adjacencies_at(vals, cuts) -> int:
     return count
 
 
-def _bound_terms(vals, cuts, lo: int, hi: int, wrap: int) -> int:
+def _bound_terms(vals, cuts, lo: int, hi: int, signs) -> int:
     """
     The part of sum(b_g) + sum(b_g * b_{g-1}) that touches the given gaps
     (increasing): b_g for each cut gap, and every product whose pair holds
@@ -157,17 +156,12 @@ def _bound_terms(vals, cuts, lo: int, hi: int, wrap: int) -> int:
     total = 0
     last = -2
     for c in cuts:
-        if lo < c <= hi:
-            d = abs(vals[c] - vals[c - 1])
-            if d == 1 or d == wrap:
-                left = right = False
-                if c - 1 > lo and c != last + 1:  # else the previous cut holds the pair
-                    d = abs(vals[c - 1] - vals[c - 2])
-                    left = d == 1 or d == wrap
-                if c < hi:
-                    d = abs(vals[c + 1] - vals[c])
-                    right = d == 1 or d == wrap
-                total += 1 + left + right
+        if lo < c <= hi and vals[c] - vals[c - 1] in signs:
+            total += 1
+            if c - 1 > lo and c != last + 1:  # else the previous cut holds the pair
+                total += vals[c - 1] - vals[c - 2] in signs
+            if c < hi:
+                total += vals[c + 1] - vals[c] in signs
         last = c
     return total
 
@@ -188,33 +182,28 @@ def move_deltas(before, after, m: Move, mode: Mode, lo: int, hi: int) -> tuple[i
     else:
         cuts_before = (i, j, k)
         cuts_after = (i, i + k - j, k)
-    wrap = hi - lo if mode is Mode.CIRCULAR else 0
+    signs = step_signs(mode.wrap(lo, hi))
     adjacency = _adjacencies_at(after, cuts_after) - _adjacencies_at(before, cuts_before)
-    weight = _bound_terms(before, cuts_before, lo, hi, wrap) - _bound_terms(
-        after, cuts_after, lo, hi, wrap
+    weight = _bound_terms(before, cuts_before, lo, hi, signs) - _bound_terms(
+        after, cuts_after, lo, hi, signs
     )
     return adjacency, weight
 
 
-_BOUND_RUN = re.compile(rb"\x01+")
-
-
 class _Blocks:
     """
-    The blocks of one window state, in position order, as half-open
-    (start, stop) ranges.  Singletons are implicit, and positions of values
-    are looked up on demand with `vals.index`.
+    The blocks of one window state (`metrics.block_spans`), in position
+    order, as half-open (start, stop) ranges, and the step rule they were
+    found by.  Singletons are implicit, and positions of values are looked
+    up on demand with `vals.index`.
     """
 
-    __slots__ = ("vals", "blocks", "starts")
+    __slots__ = ("vals", "signs", "blocks", "starts")
 
     def __init__(self, vals, lo: int, hi: int, wrap: int):
-        bound = {1, -1, wrap, -wrap} if wrap else {1, -1}
-        flags = bytes(map(bound.__contains__, map(sub, vals[lo + 1 : hi + 1], vals[lo:hi])))
         self.vals = vals
-        self.blocks = [
-            (lo + run.start(), lo + run.end() + 1) for run in _BOUND_RUN.finditer(flags)
-        ]
+        self.signs = step_signs(wrap)
+        self.blocks = block_spans(vals, lo, hi, wrap)
         self.starts = [start for start, _ in self.blocks]
 
     def seg(self, p: int) -> tuple[int, int]:
@@ -225,8 +214,9 @@ class _Blocks:
         return (p, p + 1)
 
 
-# A validated step and the value list it leads to, as `measure` produced it.
-_Planned = tuple[SortStep, list[int]]
+# A validated step before commit: its moves, category, measured gain in
+# thirds, and the value list it leads to, as `measure` produced it.
+_Planned = tuple[tuple[Move, ...], StepCategory, int, list[int]]
 
 
 class _Run:
@@ -265,18 +255,8 @@ class _Run:
             return self.n if v == 1 else v - 1
         return v - 1 if v > self.vlo else None
 
-    def spans(self, vals=None):
-        return segment_spans(
-            self.vals if vals is None else vals, self.mode, self.lo, self.hi, self.vlo
-        )
-
-    def weight(self, vals=None) -> int:
-        return weight_thirds_values(
-            self.vals if vals is None else vals, self.mode, self.lo, self.hi, self.vlo
-        )
-
     def view(self, vals=None) -> _Blocks:
-        wrap = self.hi - self.lo if self.mode is Mode.CIRCULAR else 0
+        wrap = self.mode.wrap(self.lo, self.hi)
         return _Blocks(self.vals if vals is None else vals, self.lo, self.hi, wrap)
 
     def window_sorted(self) -> bool:
@@ -284,13 +264,12 @@ class _Run:
 
     def front_ok(self, vals) -> bool:
         """The window opens with an increasing block; LINEAR: at value vlo."""
-        lo = self.lo
-        if lo >= self.hi:
+        lo, hi = self.lo, self.hi
+        if lo >= hi:
             return False
-        d = vals[lo + 1] - vals[lo]
-        if self.mode is Mode.CIRCULAR:
-            return d == 1 or d == lo - self.hi
-        return d == 1 and vals[lo] == self.vlo
+        if step_signs(self.mode.wrap(lo, hi)).get(vals[lo + 1] - vals[lo]) != 1:
+            return False
+        return self.mode is Mode.CIRCULAR or vals[lo] == self.vlo
 
     def measure(self, moves, start=None):
         """Apply moves to the values; None if the adjacency count ever drops.
@@ -309,14 +288,13 @@ class _Run:
             cur = nxt
         return cur, gain
 
-    def commit(self, step: SortStep, post: list[int]) -> None:
+    def commit(self, moves, category: StepCategory, gain: int, post: list[int]) -> None:
         """Record a step; `post` is the value list `measure` produced for it."""
-        self.notes.append(
-            TraceNote(len(self.moves), step.category.value, step.claimed_gain)
-        )
+        self.notes.append(TraceNote(len(self.moves), category.value, gain))
+        window = (self.lo, self.hi)
+        self.steps.append(SortStep(tuple(moves), category, gain, window, self.mode))
         self.vals = post
-        self.moves.extend(step.moves)
-        self.steps.append(step)
+        self.moves.extend(moves)
 
     def commit_checked(self, moves, category: StepCategory) -> None:
         measured = self.measure(moves)
@@ -325,27 +303,32 @@ class _Run:
                 f"{category.value} move breaks adjacencies", tuple(self.vals)
             )
         post, gain = measured
-        self.commit(
-            SortStep(tuple(moves), category, gain, (self.lo, self.hi), self.mode), post
-        )
+        self.commit(moves, category, gain, post)
 
     # ------------------------------------------------------------------
-    # Main-loop step planners.  Each returns a validated SortStep with the
+    # Main-loop step planners.  Each returns a validated step with the
     # values it leads to, or None.  All planners of one step share one
     # _Blocks view of the current state.
     # ------------------------------------------------------------------
 
-    def _try_step(self, moves, category: StepCategory) -> _Planned | None:
-        measured = self.measure(moves)
+    def _try_step(
+        self, moves, category: StepCategory, floor=None, start=None
+    ) -> _Planned | None:
+        """
+        `moves` from `start` (default: the current values) as one step, or
+        None if an adjacency drops, the window loses its increasing front
+        block, or the gain is below `floor` (default: the category's
+        GAIN_FLOORS entry; a category without one has no floor).
+        """
+        measured = self.measure(moves, start)
         if measured is None:
             return None
         post, gain = measured
-        if gain < GAIN_FLOORS[category]:
+        if floor is None:
+            floor = GAIN_FLOORS.get(category, gain)
+        if gain < floor or not self.front_ok(post):
             return None
-        if not self.front_ok(post):
-            return None
-        step = SortStep(tuple(moves), category, gain, (self.lo, self.hi), self.mode)
-        return step, post
+        return tuple(moves), category, gain, post
 
     def plan_block_merge(self, view: _Blocks) -> _Planned | None:
         """Consecutive values in two distinct blocks: merge them.
@@ -496,7 +479,7 @@ class _Run:
                     if xseg[0] < front_stop or xseg[0] <= g - 1 < xseg[1]:
                         continue
                     move = splice_move(xseg[0], xseg[1], g, reverse=px != xseg[0])
-                    planned = self._try_move_on(base, move, min_gain)
+                    planned = self._try_step([move], StepCategory.BONUS, min_gain, base)
                     if planned is not None:
                         return planned
                 continue
@@ -509,20 +492,10 @@ class _Run:
                     if s < front_stop or s <= g - 1 <= t or s <= g <= t:
                         continue
                     move = splice_move(s, t + 1, g, reverse=px > py)
-                    planned = self._try_move_on(base, move, min_gain)
+                    planned = self._try_step([move], StepCategory.BONUS, min_gain, base)
                     if planned is not None:
                         return planned
         return None
-
-    def _try_move_on(self, base, move, min_gain) -> _Planned | None:
-        measured = self.measure([move], start=base)
-        if measured is None:
-            return None
-        post, gain = measured
-        if gain < min_gain or not self.front_ok(post):
-            return None
-        step = SortStep((move,), StepCategory.BONUS, gain, (self.lo, self.hi), self.mode)
-        return step, post
 
     def plan_fallback_pair(self, view: _Blocks) -> _Planned | None:
         """Absorbing move plus a compensating insertion, found by scan."""
@@ -549,17 +522,15 @@ class _Run:
                         if seg[0] <= gap <= seg[1]:
                             continue
                         move_a = splice_move(seg[0], seg[1], gap, reverse)
-                        first = self.measure([move_a])
+                        first = self._try_step([move_a], StepCategory.ABSORBING_PAIR, 2)
                         if first is None:
                             continue
-                        mid, gain_a = first
-                        if gain_a < 2 or not self.front_ok(mid):
-                            continue
+                        _, _, gain_a, mid = first
                         follow = self.plan_fallback_single(6 - gain_a, self.view(mid))
                         if follow is None:
                             continue
-                        moves = (move_a,) + follow[0].moves
-                        planned = self._try_step(list(moves), StepCategory.ABSORBING_PAIR)
+                        moves = [move_a, *follow[0]]
+                        planned = self._try_step(moves, StepCategory.ABSORBING_PAIR)
                         if planned is not None:
                             return planned
         return None
@@ -591,13 +562,9 @@ class _Run:
     def run_basic(self) -> None:
         if self.window_sorted():
             return
-        spans = self.spans()
-        front = spans[0]
-        single = len(spans) == 1
-        if not (single and front[2] is Orientation.INCREASING):
-            if not (_is_block(front) and front[2] is Orientation.INCREASING):
-                self._basic_opening()
-            self.main_loop(self._basic_done)
+        if not self.front_ok(self.vals):  # no increasing front block
+            self._basic_opening()
+        self.main_loop(self._basic_done)
         if not self.window_sorted():
             idx_top = self.vals.index(self.n)
             self.commit_checked(
@@ -621,16 +588,16 @@ class _Run:
         boundary value away from its end, so plain runs serve as backups.
         """
         plans: list[Move] = []
-        plain = segment_spans(self.vals, Mode.LINEAR, self.lo, self.hi, self.vlo)
+        views = (self.view(), _Blocks(self.vals, self.lo, self.hi, 0))  # circular, plain
         first = self.vals[0]
-        for spans in (self.spans(), plain):
-            front = spans[0]
-            if _is_block(front) and front[2] is Orientation.DECREASING:
+        for view in views:
+            front = view.seg(0)
+            if _is_block(front) and view.signs[self.vals[1] - first] < 0:  # decreasing
                 plans.append(splice_move(0, front[1], 0, reverse=True))
         for target, paste_after in ((self.succ(first), True), (self.pred(first), False)):
-            for spans in (self.spans(), plain):
+            for view in views:
                 pt = self.vals.index(target)
-                seg = next(s for s in spans if s[0] <= pt < s[1])
+                seg = view.seg(pt)
                 if seg[0] == 0:
                     continue  # cutting the front apart is never the opening
                 if pt not in (seg[0], seg[1] - 1):
@@ -646,20 +613,10 @@ class _Run:
             if move in tried:
                 continue
             tried.add(move)
-            measured = self.measure([move])
-            if measured is None or not self.front_ok(measured[0]):
-                continue
-            self.commit(
-                SortStep(
-                    (move,),
-                    StepCategory.OPENING,
-                    measured[1],
-                    (self.lo, self.hi),
-                    self.mode,
-                ),
-                measured[0],
-            )
-            return
+            planned = self._try_step([move], StepCategory.OPENING)
+            if planned is not None:
+                self.commit(*planned)
+                return
         raise DiagnosticFailure("no valid opening move", tuple(self.vals))
 
     def run_refined(self) -> None:
@@ -705,7 +662,7 @@ class _Run:
         """No block junction straddles gap g (window-linear values)."""
         if g <= self.lo or g > self.hi:
             return True
-        return abs(vals[g - 1] - vals[g]) != 1
+        return vals[g] - vals[g - 1] not in step_signs(0)
 
     def _refined_general_opening(self, p_min: int) -> str:
         first = self.vals[self.lo]
@@ -728,27 +685,23 @@ class _Run:
             first_leg = self.measure([move1])
             if first_leg is None:
                 continue
-            mid, _ = first_leg
+            mid, gain = first_leg
             if mid[self.lo] != self.vlo:
                 continue
-            if mid[self.lo + 1] == self.vlo + 1:
-                if self.front_ok(mid):
-                    self.commit_checked([move1], StepCategory.OPENING)
-                    return "loop"
-                continue
+            if mid[self.lo + 1] == self.vlo + 1:  # an increasing front block at vlo
+                self.commit([move1], StepCategory.OPENING, gain, mid)
+                return "loop"
             for move2 in self._second_opening_moves(mid):
-                both = self.measure([move1, move2])
-                if both is None:
+                planned = self._try_step([move1, move2], StepCategory.OPENING)
+                if planned is None:
                     continue
-                post, _ = both
+                post = planned[3]
                 if post[self.lo] != self.vlo or post[self.lo + 1] != self.vlo + 1:
                     continue
-                if self.weight(post) > 2 * self.wsize() - 3:
-                    continue
-                if not self.front_ok(post):
-                    continue
-                self.commit_checked([move1, move2], StepCategory.OPENING)
-                return "loop"
+                weight = weight_thirds_values(post, self.mode, self.lo, self.hi)
+                if weight <= 2 * self.wsize() - 3:
+                    self.commit(*planned)
+                    return "loop"
         return "fail"
 
     def _second_opening_moves(self, mid):
@@ -852,25 +805,24 @@ class _Run:
 
 
 def _finish(
-    p: Permutation, run: _Run, bound: int, algorithm: str, final=None
+    p: Permutation, bound: int, algorithm: str, final, moves, steps=(), notes=()
 ) -> SortResult:
-    trace = Trace(p, tuple(run.moves), tuple(run.notes))
-    reached = tuple(run.vals if final is None else final)
-    if reached != tuple(range(1, p.n + 1)):
+    """The result of `moves`, which took p to `final`; steps and notes annotate them."""
+    if tuple(final) != tuple(range(1, p.n + 1)):
         raise DiagnosticFailure("trace does not sort", p.values)
-    if len(run.moves) > bound:
+    if len(moves) > bound:
         raise DiagnosticFailure(
-            f"{algorithm}: {len(run.moves)} moves exceeds bound {bound}", p.values
+            f"{algorithm}: {len(moves)} moves exceeds bound {bound}", p.values
         )
     histogram: dict[str, int] = {}
-    for step in run.steps:
+    for step in steps:
         histogram[step.category.value] = histogram.get(step.category.value, 0) + 1
     return SortResult(
-        trace=trace,
-        move_count=len(run.moves),
+        trace=Trace(p, tuple(moves), tuple(notes)),
+        move_count=len(moves),
         bound=bound,
         category_histogram=histogram,
-        steps=tuple(run.steps),
+        steps=tuple(steps),
         algorithm=algorithm,
     )
 
@@ -879,14 +831,14 @@ def sort_basic(p: Permutation) -> SortResult:
     """Sort with the circular-convention loop: at most floor(2n/3)+1 moves."""
     run = _Run(p.values, Mode.CIRCULAR)
     run.run_basic()
-    return _finish(p, run, 2 * p.n // 3 + 1, "basic")
+    return _finish(p, 2 * p.n // 3 + 1, "basic", run.vals, run.moves, run.steps, run.notes)
 
 
 def sort_refined(p: Permutation) -> SortResult:
     """Sort keeping value 1 anchored in front: at most floor(2n/3) moves."""
     run = _Run(p.values, Mode.LINEAR)
     run.run_refined()
-    return _finish(p, run, 2 * p.n // 3, "refined")
+    return _finish(p, 2 * p.n // 3, "refined", run.vals, run.moves, run.steps, run.notes)
 
 
 def plan_step(p: Permutation, mode: Mode) -> SortStep:
@@ -898,13 +850,13 @@ def plan_step(p: Permutation, mode: Mode) -> SortStep:
     planned = run.plan_next()
     if planned is None:
         raise DiagnosticFailure("no valid step", p.values)
-    return planned[0]
+    run.commit(*planned)
+    return run.steps[0]
 
 
 def sort_insertion(p: Permutation) -> SortResult:
     """Insertion sort: each move files one element into the sorted prefix."""
     vals = list(p.values)
-    run = _Run(p.values, Mode.LINEAR)  # reused only as a move recorder
     moves: list[Move] = []
     for k in range(1, len(vals)):
         v = vals[k]
@@ -914,8 +866,7 @@ def sort_insertion(p: Permutation) -> SortResult:
         moves.append(splice_move(k, k + 1, slot, reverse=False))
         del vals[k]  # the move, in place: one element from k back to slot
         vals.insert(slot, v)
-    run.moves = moves
-    return _finish(p, run, max(p.n - 1, 0), "insertion", final=vals)
+    return _finish(p, max(p.n - 1, 0), "insertion", vals, moves)
 
 
 def longest_monotone(p: Permutation) -> tuple[str, tuple[int, ...]]:
@@ -1024,11 +975,9 @@ def sort_monotone(p: Permutation) -> SortResult:
         move = splice_move(0, n, 0, reverse=True)
         vals = apply_move_values(vals, move)
         moves.append(move)
-    run = _Run(p.values, Mode.LINEAR)
-    run.moves = moves
     root = isqrt(n)
     sqrt_ceil = root if root * root == n else root + 1
-    return _finish(p, run, n - sqrt_ceil + 1, "monotone", final=vals)
+    return _finish(p, n - sqrt_ceil + 1, "monotone", vals, moves)
 
 
 def audit_result(result: SortResult) -> list[str]:
@@ -1050,14 +999,14 @@ def audit_result(result: SortResult) -> list[str]:
         if measured == (lo, hi, step.mode):
             before = after  # the same values, measured the same way
         else:
-            before = weight_thirds_values(vals, step.mode, lo, hi, lo + 1)
+            before = weight_thirds_values(vals, step.mode, lo, hi)
         for m in step.moves:
             vals = apply_move_values(vals, m)
             now = adjacency_count_values(vals)
             if now < count:
                 problems.append(f"adjacency count dropped on {m}")
             count = now
-        after = weight_thirds_values(vals, step.mode, lo, hi, lo + 1)
+        after = weight_thirds_values(vals, step.mode, lo, hi)
         measured = (lo, hi, step.mode)
         gain = before - after
         floor = GAIN_FLOORS.get(step.category)

@@ -1,6 +1,7 @@
 import pytest
 
 from cutsort import cli, parse_permutation, parse_trace, parity_adjacencies
+from cutsort.metrics import min_parity_adjacencies
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +131,17 @@ class TestTableAndWitness:
         for line in lines:
             assert parity_adjacencies(parse_permutation(line)) == 2
 
+    @pytest.mark.parametrize("n", [24, 40, 101])
+    def test_large_n_witnesses_are_drawn_directly(self, capsys, n):
+        # only about one shuffle in 10^6 is a witness at n = 24, so these
+        # must be drawn from the closed form, not found by rejection
+        code, out, _ = run_cli(capsys, "witness", "--n", str(n), "--limit", "5")
+        assert code == 0
+        found = [parse_permutation(line) for line in out.splitlines()]
+        assert len(set(found)) == 5
+        for w in found:
+            assert parity_adjacencies(w) == min_parity_adjacencies(n)
+
 
 class TestRandomCommand:
     def test_deterministic(self, capsys):
@@ -208,6 +220,22 @@ class TestMalformedInput:
         path = tmp_path / "trace.txt"
         path.write_bytes("n 2\ninit 2 1\n# \u00e9t\u00e9\n".encode("utf-8"))
         self.assert_one_line_error(capsys, "verify", "--trace", str(path))
+
+    @pytest.mark.parametrize(
+        "perm, line",
+        [
+            ("1 1", "duplicate value 1 (position 2)"),
+            ("2 2 1", "duplicate value 2 (position 2)"),
+            ("1 5", "value 5 out of range for n=2 (position 2)"),
+            ("0 1", "value 0 out of range for n=2 (position 1)"),
+            ("1 x", "not an integer: 'x' (position 2)"),
+            ("", "empty permutation (position 1)"),
+        ],
+    )
+    def test_bad_perm_error_lines(self, capsys, perm, line):
+        for command in ("sort", "bound", "distance"):
+            code, _, err = run_cli(capsys, command, "--perm", perm)
+            assert (code, err) == (1, f"error: {line}\n")
 
     def test_witness_limit_above_the_count(self, capsys):
         self.assert_one_line_error(capsys, "witness", "--n", "9", "--limit", "14401")

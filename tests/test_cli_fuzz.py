@@ -6,7 +6,7 @@ Every call must end with an exit code in {0, 1, 2, 3} and no traceback;
 an input error (1) or a guard refusal (3) prints exactly one `error:` line.
 Drawn sizes are bounded so that no call can run for long: `table --n` <= 6
 and never `--allow-n9`, `distance` on n <= 8, `bench` on n <= 50 with
-`--reps` <= 2, and `witness` with n <= 12 and a small `--limit`.
+`--reps` <= 2, and `witness` with n <= 40 and a small `--limit`.
 
 Placeholders in a drawn argv name paths in a per-module directory: @FILE
 holds the drawn file text, @OUT is an output file, @DIR the directory
@@ -122,7 +122,7 @@ STRATEGIES = {
             "",
             None,
         ),
-        st.integers(-2, 12),
+        st.integers(-2, 40),
         st.integers(-2, 6),
         st.integers(0, 5),
         out_path,

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from cutsort import (
     InputError,
@@ -9,22 +10,23 @@ from cutsort import (
     MoveKind,
     Orientation,
     Permutation,
-    SegmentKind,
     certify_lower_bound,
-    decompose,
     even_before_odd,
-    gain_thirds,
     hard_witnesses,
     max_parity_delta,
     parity_adjacencies,
     parse_permutation,
-    weight_thirds,
 )
 from cutsort.metrics import (
     hard_witness_count,
     min_parity_adjacencies,
     parity_adjacency_count_values,
+    segment_spans,
+    step_signs,
+    weight_thirds_values,
 )
+from cutsort.perm import apply_move_values
+from test_sorter import linear_windows_and_moves
 
 
 def naive_runs(values, circular):
@@ -51,65 +53,80 @@ def naive_runs(values, circular):
     return runs
 
 
+def naive_weight(values, circular):
+    """Weight in thirds from naive_runs: 3 per block, 2 per singleton."""
+    return sum(3 if stop - start >= 2 else 2 for start, stop in naive_runs(values, circular))
+
+
 def perms(n):
     return (Permutation(v) for v in itertools.permutations(range(1, n + 1)))
 
 
+def kinds(spans):
+    return ["block" if stop - start >= 2 else "singleton" for start, stop, _ in spans]
+
+
 class TestDecompose:
     def test_wrapped_increasing_block_is_one_block(self):
-        d = decompose(parse_permutation("3 4 5 1 2"), Mode.CIRCULAR)
-        assert len(d.segments) == 1
-        seg = d.segments[0]
-        assert seg.kind is SegmentKind.BLOCK
-        assert seg.orientation is Orientation.INCREASING
+        spans = segment_spans(parse_permutation("3 4 5 1 2").values, Mode.CIRCULAR)
+        assert spans == [(0, 5, Orientation.INCREASING)]
 
     def test_linear_mode_disables_the_wrap(self):
-        d = decompose(parse_permutation("3 4 5 1 2"), Mode.LINEAR)
-        assert [(s.start, s.stop, s.kind) for s in d.segments] == [
-            (0, 3, SegmentKind.BLOCK),
-            (3, 5, SegmentKind.BLOCK),
-        ]
+        spans = segment_spans(parse_permutation("3 4 5 1 2").values, Mode.LINEAR)
+        assert [(start, stop) for start, stop, _ in spans] == [(0, 3), (3, 5)]
+        assert kinds(spans) == ["block", "block"]
 
     def test_identity_is_one_increasing_block_in_both_modes(self):
         for mode in Mode:
-            d = decompose(Permutation.identity(5), mode)
-            assert len(d.segments) == 1
-            assert d.segments[0].orientation is Orientation.INCREASING
+            spans = segment_spans(Permutation.identity(5).values, mode)
+            assert len(spans) == 1
+            assert spans[0][2] is Orientation.INCREASING
 
     def test_top_bottom_pair_binds_circularly(self):
         # 4 and 1 are circularly consecutive, so [2 4 1 3] holds one block;
         # linearly it is four singletons.
-        d = decompose(parse_permutation("2 4 1 3"), Mode.CIRCULAR)
-        kinds = [s.kind for s in d.segments]
-        assert kinds == [SegmentKind.SINGLETON, SegmentKind.BLOCK, SegmentKind.SINGLETON]
-        d = decompose(parse_permutation("2 4 1 3"), Mode.LINEAR)
-        assert all(s.kind is SegmentKind.SINGLETON for s in d.segments)
+        values = parse_permutation("2 4 1 3").values
+        assert kinds(segment_spans(values, Mode.CIRCULAR)) == ["singleton", "block", "singleton"]
+        assert set(kinds(segment_spans(values, Mode.LINEAR))) == {"singleton"}
+
+    def test_two_value_circular_window_counts_both_steps_as_increasing(self):
+        assert step_signs(1) == {1: 1, -1: 1}
+        for values in ((1, 2), (2, 1)):
+            assert segment_spans(values, Mode.CIRCULAR) == [(0, 2, Orientation.INCREASING)]
+        # the same rule for a 2-value window inside a longer list
+        assert segment_spans([1, 3, 2, 4], Mode.CIRCULAR, 1, 2) == [
+            (1, 3, Orientation.INCREASING)
+        ]
+        assert segment_spans([1, 3, 2, 4], Mode.LINEAR, 1, 2) == [
+            (1, 3, Orientation.DECREASING)
+        ]
+        assert weight_thirds_values([1, 3, 2, 4], Mode.CIRCULAR, 1, 2) == 3
 
     def test_matches_naive_run_finder(self):
         for n in range(1, 8):
             for p in perms(n):
                 for mode in Mode:
-                    got = [(s.start, s.stop) for s in decompose(p, mode).segments]
+                    got = [(start, stop) for start, stop, _ in segment_spans(p.values, mode)]
                     assert got == naive_runs(p.values, mode is Mode.CIRCULAR)
 
     def test_partition_and_idempotence(self):
         for n in (1, 4, 7):
             for p in perms(n):
-                d = decompose(p, Mode.CIRCULAR)
-                assert sum(len(s) for s in d.segments) == n
-                assert d.segments[0].start == 0
-                for left, right in zip(d.segments, d.segments[1:]):
-                    assert left.stop == right.start
-                assert decompose(p, Mode.CIRCULAR) == d
+                spans = segment_spans(p.values, Mode.CIRCULAR)
+                assert sum(stop - start for start, stop, _ in spans) == n
+                assert spans[0][0] == 0
+                for left, right in zip(spans, spans[1:]):
+                    assert left[1] == right[0]
+                assert segment_spans(p.values, Mode.CIRCULAR) == spans
 
     def test_segments_cannot_merge_across_boundaries(self):
         for p in perms(6):
             n = p.n
             for mode in Mode:
                 circ = mode is Mode.CIRCULAR
-                segs = decompose(p, mode).segments
-                for left, right in zip(segs, segs[1:]):
-                    a, b = p.values[left.stop - 1], p.values[right.start]
+                spans = segment_spans(p.values, mode)
+                for left, right in zip(spans, spans[1:]):
+                    a, b = p.values[left[1] - 1], p.values[right[0]]
                     up = b - a == 1 or (circ and a - b == n - 1)
                     down = a - b == 1 or (circ and b - a == n - 1)
                     step = (
@@ -119,39 +136,57 @@ class TestDecompose:
                     )
                     if step is None:
                         continue
-                    left_fits = left.orientation in (None, step)
-                    right_fits = right.orientation in (None, step)
+                    left_fits = left[2] in (None, step)
+                    right_fits = right[2] in (None, step)
                     assert not (left_fits and right_fits), (p.values, left, right)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(linear_windows_and_moves())
+    def test_windows_match_naive_runs_on_the_slice(self, case):
+        values, m, lo, hi = case
+        for state in (values, apply_move_values(values, m)):
+            window = state[lo : hi + 1]
+            for mode in Mode:
+                circular = mode is Mode.CIRCULAR
+                spans = segment_spans(state, mode, lo, hi)
+                expect = [(lo + start, lo + stop) for start, stop in naive_runs(window, circular)]
+                assert [(start, stop) for start, stop, _ in spans] == expect
+                assert weight_thirds_values(state, mode, lo, hi) == naive_weight(window, circular)
 
 
 class TestWeight:
     def test_identity_weighs_one(self):
-        assert weight_thirds(Permutation.identity(7), Mode.CIRCULAR) == 3
-        assert weight_thirds(Permutation.identity(7), Mode.LINEAR) == 3
+        assert weight_thirds_values(Permutation.identity(7).values, Mode.CIRCULAR) == 3
+        assert weight_thirds_values(Permutation.identity(7).values, Mode.LINEAR) == 3
 
     def test_all_singletons_reach_two_n_thirds(self):
         # no two circularly consecutive values sit together
         p = parse_permutation("1 3 5 2 4")
-        assert weight_thirds(p, Mode.CIRCULAR) == 10
+        assert weight_thirds_values(p.values, Mode.CIRCULAR) == 10
 
     def test_matches_segment_counts_everywhere(self):
         for n in range(1, 8):
             for p in perms(n):
                 for mode in Mode:
-                    d = decompose(p, mode)
-                    expect = 3 * d.block_count + 2 * d.singleton_count
-                    assert weight_thirds(p, mode) == expect
+                    expect = naive_weight(p.values, mode is Mode.CIRCULAR)
+                    assert weight_thirds_values(p.values, mode) == expect
 
     def test_bounds(self):
         for n in range(2, 8):
             for p in perms(n):
-                w = weight_thirds(p, Mode.CIRCULAR)
+                w = weight_thirds_values(p.values, Mode.CIRCULAR)
                 assert 3 <= w <= 2 * n
 
     def test_weight_three_means_single_run(self):
         for p in perms(6):
-            single = len(decompose(p, Mode.CIRCULAR).segments) == 1
-            assert (weight_thirds(p, Mode.CIRCULAR) == 3) == single
+            single = len(naive_runs(p.values, True)) == 1
+            assert (weight_thirds_values(p.values, Mode.CIRCULAR) == 3) == single
+
+
+def gain(p, m, mode):
+    """Weight reduction achieved by a move, in thirds (may be negative)."""
+    after = apply_move_values(list(p.values), m)
+    return weight_thirds_values(p.values, mode) - weight_thirds_values(after, mode)
 
 
 class TestGain:
@@ -159,27 +194,17 @@ class TestGain:
         # [2 1 4 3] linearly: two blocks; pasting {4,3} in front merges them
         p = parse_permutation("2 1 4 3")
         m = Move(0, 2, 4, MoveKind.SWAP)  # -> 4 3 2 1
-        assert gain_thirds(p, m, Mode.LINEAR) >= 3
+        assert gain(p, m, Mode.LINEAR) >= 3
 
     def test_identity_cannot_improve(self):
         p = Permutation.identity(6)
-        assert gain_thirds(p, Move(0, 6, 6, MoveKind.REVERSE), Mode.CIRCULAR) <= 0
+        assert gain(p, Move(0, 6, 6, MoveKind.REVERSE), Mode.CIRCULAR) <= 0
 
     def test_absorbing_a_singleton_gains_two_thirds(self):
         # [1 4 3 5 2]: {4,3} is a block; filing 2 next to 3 absorbs it
         p = parse_permutation("1 4 3 5 2")
         m = Move(3, 4, 5, MoveKind.SWAP)  # -> 1 4 3 2 5
-        assert gain_thirds(p, m, Mode.CIRCULAR) == 2
-
-    def test_gain_is_weight_difference(self):
-        from cutsort import apply_move, enumerate_moves
-
-        p = parse_permutation("2 4 1 3")
-        for m in enumerate_moves(4):
-            for mode in Mode:
-                assert gain_thirds(p, m, mode) == weight_thirds(p, mode) - weight_thirds(
-                    apply_move(p, m), mode
-                )
+        assert gain(p, m, Mode.CIRCULAR) == 2
 
 
 class TestParityAdjacencies:
@@ -267,12 +292,11 @@ class TestHardWitnesses:
         assert a == b
         assert len({w.values for w in a}) == 5
 
-    def test_large_n_uses_rejection_sampling(self):
+    def test_large_n_draws_from_the_closed_form(self):
         found = hard_witnesses(12, limit=4, seed=2)
         assert len(found) == 4
         for w in found:
             assert parity_adjacencies(w) == 1
-
     def test_rejects_tiny_n(self):
         with pytest.raises(InputError):
             hard_witnesses(1, limit=5)

@@ -196,6 +196,12 @@ class TestTextFormats:
             parse_permutation("3 5 1")
         assert err.value.position == 2
 
+    def test_permutation_rejects_bad_values_with_position(self):
+        for values in ((1, 1), (1, 5)):
+            with pytest.raises(ParseError) as err:
+                Permutation(values)
+            assert err.value.position == 2
+
     def test_parse_rejects_empty_input(self):
         with pytest.raises(ParseError):
             parse_permutation("   ")

@@ -150,8 +150,8 @@ def recomputed_deltas(before, m, mode, lo, hi):
     """move_deltas' answer by full recomputation."""
     after = apply_move_values(before, m)
     adjacency = adjacency_count_values(after) - adjacency_count_values(before)
-    weight = weight_thirds_values(after, mode, lo, hi, lo + 1) - weight_thirds_values(
-        before, mode, lo, hi, lo + 1
+    weight = weight_thirds_values(after, mode, lo, hi) - weight_thirds_values(
+        before, mode, lo, hi
     )
     return after, (adjacency, weight)
 
