@@ -5,7 +5,9 @@ Each manifest entry is the SHA-256 of `format_trace` output: one entry per
 (algorithm, n) covering every permutation of n <= 6 in lexicographic
 order, and one per (algorithm, seed) for `random_permutation(200, seed)`,
 seeds 0-49.  The algorithms are the two weight sorters and the insertion
-and monotone baselines.  A refactor of the sorters keeps every hash.
+and monotone baselines.  The weight sorters also have one entry per seed
+for `random_permutation(1000, seed)`, seeds 0-4, whose long blocks n=200
+rarely reaches.  A refactor of the sorters keeps every hash.
 
 Regenerate the manifest (only when a trace change is intended):
 
@@ -38,6 +40,9 @@ ALGORITHMS = {
 SMALL_N = range(1, 7)
 LARGE_N = 200
 SEEDS = range(50)
+WEIGHT_SORTERS = ("refined", "basic")
+HUGE_N = 1000
+HUGE_SEEDS = range(5)
 
 
 def _digest(texts) -> str:
@@ -58,6 +63,12 @@ def compute_manifest() -> dict[str, str]:
         for seed in SEEDS:
             p = random_permutation(LARGE_N, seed)
             out[f"{name}/n{LARGE_N}-seed{seed}"] = _digest([format_trace(sort(p).trace)])
+    for name in WEIGHT_SORTERS:
+        for seed in HUGE_SEEDS:
+            p = random_permutation(HUGE_N, seed)
+            out[f"{name}/n{HUGE_N}-seed{seed}"] = _digest(
+                [format_trace(ALGORITHMS[name](p).trace)]
+            )
     return out
 
 
