@@ -86,7 +86,9 @@ def cmd_verify(args) -> int:
     ok = is_identity(final)
     within = "n/a"
     if args.bound is not None:
-        within = str(len(trace.moves) <= args.bound).lower()
+        within_bound = len(trace.moves) <= args.bound
+        within = str(within_bound).lower()
+        ok = ok and within_bound
     print(f"final={format_permutation(final)}")
     print(f"moves={len(trace.moves)} within_bound={within}")
     print(f"adjacency_monotone={str(monotone).lower()}")

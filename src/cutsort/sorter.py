@@ -41,16 +41,32 @@ four facts:
 So only the terms at the cut gaps change.  `audit_result` stays the
 independent full recomputation of every step's adjacencies and gain.
 
+The planners read blocks from one `_View`, which the main loop builds
+once and keeps across commits.  It is indexed by value: adj[v] = 1 iff v
+and succ(v), its successor under the step rule, stand in neighbouring
+window positions.  A run of 1s is one block, so block-merge candidates
+are the v with adj[pred v], adj[v], adj[succ v] = 1, 0, 1 (one regex
+scan), and the block at a position is found by `find`/`rfind` of 0.  By
+the first two facts above, a move takes away exactly the neighbour pairs
+across its cut gaps before and brings exactly those across its cut gaps
+after; every other pair survives, reversed or not.  So after each commit
+the view clears the first and sets the second, O(1) per move, from the
+value lists `measure` already produced, and nothing indexed by value
+shifts.  The main loop's done test reads the run from the window's
+front value in the same bytes.
+
 Baselines: `sort_insertion` (<= n-1 moves) and `sort_monotone`
 (<= n - ceil(sqrt(n)) + 1 moves via a longest monotone subsequence).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+import re
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
+from operator import sub
 
 from .metrics import Mode, block_spans, step_signs, weight_thirds_values
 from .perm import (
@@ -190,33 +206,133 @@ def move_deltas(before, after, m: Move, mode: Mode, lo: int, hi: int) -> tuple[i
     return adjacency, weight
 
 
-class _Blocks:
+class _View:
     """
-    The blocks of one window state (`metrics.block_spans`), in position
-    order, as half-open (start, stop) ranges, and the step rule they were
-    found by.  Singletons are implicit, and positions of values are looked
-    up on demand with `vals.index`.
+    The neighbour pairs of one window state, indexed by value: adj[v] = 1
+    iff v and succ(v) stand in neighbouring window positions.  succ is the
+    step rule's successor on the window's values vlo .. vhi (the window
+    [lo, hi] holds lo + 1 .. hi + 1): v + 1, and with a wrap vlo after
+    vhi; without one adj[vhi] = 0.  The entries for vlo .. vhi are stored
+    twice, the second time at v + size, so that every run of the ring
+    reads as one stretch of bytes.
+
+    A run v, succ(v), ... of 1s is exactly one block: its values are
+    chained by neighbouring positions, and distinct positions on a line
+    cannot turn, so the run fills consecutive positions.  Indexed by value,
+    nothing shifts when a move is applied; `follow` keeps the view across
+    commits by touching only the pairs at the moves' cut gaps.
     """
 
-    __slots__ = ("vals", "signs", "blocks", "starts")
+    __slots__ = ("vals", "lo", "hi", "wrap", "size", "adj", "rises")
 
-    def __init__(self, vals, lo: int, hi: int, wrap: int):
+    def __init__(self, vals, lo: int, hi: int, wrap: int, adj: bytearray | None = None):
         self.vals = vals
-        self.signs = step_signs(wrap)
-        self.blocks = block_spans(vals, lo, hi, wrap)
-        self.starts = [start for start, _ in self.blocks]
+        self.lo, self.hi, self.wrap = lo, hi, wrap
+        self.size = hi - lo + 1
+        self.rises = (1, -wrap)  # succ(v) - v
+        if adj is None:
+            # the positions of the values vlo .. vhi, in value order
+            pos = sorted(range(lo, hi + 1), key=vals.__getitem__)
+            ring = bytearray(map(_UNIT.__contains__, map(sub, pos[1:], pos)))
+            ring.append(wrap > 0 and pos[-1] - pos[0] in _UNIT)
+            adj = bytearray(lo + 1) + ring * 2
+        self.adj = adj
+
+    def unwrapped(self) -> _View:
+        """The same state under the step rule without a wrap."""
+        adj = self.adj.copy()
+        adj[self.hi + 1] = adj[self.hi + 1 + self.size] = 0  # the pair (vhi, vlo)
+        return _View(self.vals, self.lo, self.hi, 0, adj)
+
+    def follow(self, leg: _Leg) -> None:
+        """
+        Move the view along a measured leg: for each move, clear the pairs
+        across its cut gaps before the move, then set those across its cut
+        gaps after.  Every other neighbour pair survives a move (a reversed
+        piece keeps its inner pairs, only their order flips).
+        """
+        adj, lo, hi, size, rises = self.adj, self.lo, self.hi, self.size, self.rises
+        falls = (-1, self.wrap)  # v - succ(v); a 2-value ring step is both
+        moves, _, states = leg
+        for t, m in enumerate(moves):
+            before, after = states[t], states[t + 1]
+            i, j, k = m.i, m.j, m.k
+            if m.kind is MoveKind.REVERSE:
+                cuts_before = cuts_after = (i, k)
+            else:
+                cuts_before, cuts_after = (i, j, k), (i, i + k - j, k)
+            for g in cuts_before:
+                if lo < g <= hi:
+                    x = before[g - 1]
+                    d = before[g] - x
+                    if d in rises:  # before[g] = succ(x)
+                        adj[x] = adj[x + size] = 0
+                    if d in falls:  # x = succ(before[g])
+                        adj[x + d] = adj[x + d + size] = 0
+            for g in cuts_after:
+                if lo < g <= hi:
+                    x = after[g - 1]
+                    d = after[g] - x
+                    if d in rises:
+                        adj[x] = adj[x + size] = 1
+                    if d in falls:
+                        adj[x + d] = adj[x + d + size] = 1
+        self.vals = states[-1]
+
+    def done(self) -> bool:
+        """
+        The window is sorted: the run of 1s from its front value takes in
+        every value, so the one 0 of the ring is the front value's pred.
+        Without a wrap that 0 is adj[vhi], so the front value is vlo.
+        """
+        first = self.vals[self.lo]
+        end = self.adj.find(0, first, first + self.size)
+        return end == -1 or end == first + self.size - 1
+
+    def merge_candidates(self):
+        """
+        In increasing order, the values v that end a block whose successor
+        starts one: adj[pred v], adj[v], adj[succ v] = 1, 0, 1.  The two
+        blocks are distinct unless one block holds the whole ring.
+        """
+        adj, vlo, vhi = self.adj, self.lo + 1, self.hi + 1
+        stop = vhi + 2 if self.wrap else vhi + 1  # without a wrap vhi has no successor
+        found = [match.start() + 1 for match in _MERGE_GAP.finditer(adj, vlo, stop)]
+        if adj[vhi] and not adj[vlo] and adj[vlo + 1]:  # a wrap: pred(vlo) = vhi
+            found.insert(0, vlo)
+        return found
 
     def seg(self, p: int) -> tuple[int, int]:
         """The block holding position p, or the singleton (p, p + 1)."""
-        idx = bisect_right(self.starts, p) - 1
-        if idx >= 0 and p < self.blocks[idx][1]:
-            return self.blocks[idx]
-        return (p, p + 1)
+        adj, size = self.adj, self.size
+        v = self.vals[p]
+        if adj[v]:
+            top = adj.find(0, v, v + size)  # the run's last value, read on the ring
+            if top == -1:
+                return self.lo, self.hi + 1  # a 2-value ring: one block
+            above = top - v
+        elif adj[v + size - 1]:  # pred(v)'s entry
+            above = 0
+        else:
+            return p, p + 1
+        below = v + size - 1 - adj.rfind(0, v, v + size)
+        if above:
+            up = p < self.hi and self.vals[p + 1] - v in self.rises
+        else:
+            up = p > self.lo and v - self.vals[p - 1] in self.rises
+        start = p - below if up else p - above
+        return start, start + above + below + 1
 
 
-# A validated step before commit: its moves, category, measured gain in
-# thirds, and the value list it leads to, as `measure` produced it.
-_Planned = tuple[tuple[Move, ...], StepCategory, int, list[int]]
+_MERGE_GAP = re.compile(rb"(?=\x01\x00\x01)")
+_UNIT = frozenset((1, -1))
+
+
+# A measured run of moves: the moves, the window weight gain in thirds,
+# and the value lists before and after each move, as `measure` made them.
+_Leg = tuple[tuple[Move, ...], int, list[list[int]]]
+# A validated step before commit: its measured leg and category.
+_Planned = tuple[_Leg, StepCategory]
 
 
 class _Run:
@@ -255,9 +371,9 @@ class _Run:
             return self.n if v == 1 else v - 1
         return v - 1 if v > self.vlo else None
 
-    def view(self, vals=None) -> _Blocks:
+    def view(self, vals=None) -> _View:
         wrap = self.mode.wrap(self.lo, self.hi)
-        return _Blocks(self.vals if vals is None else vals, self.lo, self.hi, wrap)
+        return _View(self.vals if vals is None else vals, self.lo, self.hi, wrap)
 
     def window_sorted(self) -> bool:
         return self.vals[self.lo : self.hi + 1] == list(range(self.vlo, self.vhi + 1))
@@ -271,94 +387,90 @@ class _Run:
             return False
         return self.mode is Mode.CIRCULAR or vals[lo] == self.vlo
 
-    def measure(self, moves, start=None):
-        """Apply moves to the values; None if the adjacency count ever drops.
-
-        Returns (final values, window weight gain in thirds), both read
-        from the actual values before and after each move by move_deltas.
+    def measure(self, moves, lead: _Leg | None = None) -> _Leg | None:
         """
-        cur = self.vals if start is None else start
-        gain = 0
+        Apply moves to the current values, or after the measured leg
+        `lead`, which the result then starts with; None if the adjacency
+        count ever drops.  Each move's deltas are read by move_deltas from
+        the actual values before and after it.
+        """
+        if lead is None:
+            done, gain, states = (), 0, [self.vals]
+        else:
+            done, gain, states = lead[0], lead[1], lead[2][:]
         for m in moves:
+            cur = states[-1]
             nxt = apply_move_values(cur, m)
             adjacency, weight = move_deltas(cur, nxt, m, self.mode, self.lo, self.hi)
             if adjacency < 0:
                 return None
             gain -= weight
-            cur = nxt
-        return cur, gain
+            states.append(nxt)
+        return done + tuple(moves), gain, states
 
-    def commit(self, moves, category: StepCategory, gain: int, post: list[int]) -> None:
-        """Record a step; `post` is the value list `measure` produced for it."""
+    def commit(self, leg: _Leg, category: StepCategory) -> None:
+        """Record a measured leg as one step."""
+        moves, gain, states = leg
         self.notes.append(TraceNote(len(self.moves), category.value, gain))
         window = (self.lo, self.hi)
-        self.steps.append(SortStep(tuple(moves), category, gain, window, self.mode))
-        self.vals = post
+        self.steps.append(SortStep(moves, category, gain, window, self.mode))
+        self.vals = states[-1]
         self.moves.extend(moves)
 
     def commit_checked(self, moves, category: StepCategory) -> None:
-        measured = self.measure(moves)
-        if measured is None:
+        leg = self.measure(moves)
+        if leg is None:
             raise DiagnosticFailure(
                 f"{category.value} move breaks adjacencies", tuple(self.vals)
             )
-        post, gain = measured
-        self.commit(moves, category, gain, post)
+        self.commit(leg, category)
 
     # ------------------------------------------------------------------
     # Main-loop step planners.  Each returns a validated step with the
-    # values it leads to, or None.  All planners of one step share one
-    # _Blocks view of the current state.
+    # values it leads to, or None.  The planners share one _View, which
+    # the main loop keeps across commits.
     # ------------------------------------------------------------------
 
     def _try_step(
-        self, moves, category: StepCategory, floor=None, start=None
+        self, moves, category: StepCategory, floor=None, lead: _Leg | None = None
     ) -> _Planned | None:
         """
-        `moves` from `start` (default: the current values) as one step, or
+        `moves`, after the measured leg `lead` if given, as one step, or
         None if an adjacency drops, the window loses its increasing front
-        block, or the gain is below `floor` (default: the category's
-        GAIN_FLOORS entry; a category without one has no floor).
+        block, or the whole step's gain is below `floor` (default: the
+        category's GAIN_FLOORS entry; a category without one has no floor).
         """
-        measured = self.measure(moves, start)
-        if measured is None:
+        leg = self.measure(moves, lead)
+        if leg is None:
             return None
-        post, gain = measured
+        gain = leg[1]
         if floor is None:
             floor = GAIN_FLOORS.get(category, gain)
-        if gain < floor or not self.front_ok(post):
+        if gain < floor or not self.front_ok(leg[2][-1]):
             return None
-        return tuple(moves), category, gain, post
+        return leg, category
 
-    def plan_block_merge(self, view: _Blocks) -> _Planned | None:
+    def plan_block_merge(self, view: _View) -> _Planned | None:
         """Consecutive values in two distinct blocks: merge them.
 
-        Such values are block endpoints, so only endpoints are walked, in
-        increasing value order, and only those whose successor is one.
+        The view names such values in increasing order; the front block,
+        if any, stays in place.
         """
-        blocks = view.blocks
-        ends: dict[int, tuple[int, int]] = {}  # endpoint value -> (block, position)
-        for idx, (a, b) in enumerate(blocks):
-            ends[self.vals[a]] = (idx, a)
-            ends[self.vals[b - 1]] = (idx, b - 1)
-        walk = sorted(v for v in ends if v + 1 in ends)
-        if self.mode is Mode.CIRCULAR and self.n in ends and 1 in ends:
-            walk.append(self.n)
-        front = 0 if blocks and blocks[0][0] == self.lo else None
-        for v in walk:
-            (sv, pv), (sw, pw) = ends[v], ends[self.succ(v)]
+        for v in view.merge_candidates():
+            pv, pw = self.vals.index(v), self.vals.index(self.succ(v))
+            sv, sw = view.seg(pv), view.seg(pw)
             if sv == sw:
                 continue
-            if sv == front:
+            if sv[0] == self.lo:
                 order = [(sw, sv, pw, pv)]
-            elif sw == front:
+            elif sw[0] == self.lo:
                 order = [(sv, sw, pv, pw)]
             elif sv < sw:
                 order = [(sw, sv, pw, pv), (sv, sw, pv, pw)]
             else:
                 order = [(sv, sw, pv, pw), (sw, sv, pw, pv)]
             for cut_seg, keep_seg, pcut, pkeep in order:
-                move = self._merge_move(blocks[cut_seg], blocks[keep_seg], pcut, pkeep)
+                move = self._merge_move(cut_seg, keep_seg, pcut, pkeep)
                 if move is None:
                     continue
                 planned = self._try_step([move], StepCategory.BLOCK)
@@ -380,7 +492,7 @@ class _Run:
         except ValueError:
             return None
 
-    def plan_menu(self, view: _Blocks) -> _Planned | None:
+    def plan_menu(self, view: _View) -> _Planned | None:
         """The bonus / absorbing-pair case analysis at the front block."""
         if not self.front_ok(self.vals):
             return None
@@ -443,7 +555,7 @@ class _Run:
         first = self.measure([move_a])
         if first is None:
             return None
-        mid, _ = first
+        mid = first[2][-1]
         p_fn = mid.index(front_next)
         for far_next in far_next_cands:
             p_qn = mid.index(far_next)
@@ -451,26 +563,32 @@ class _Run:
             if s <= gap + (cseg[1] - cseg[0]):
                 continue  # the string must stay clear of the re-homed block
             move_b = splice_move(s, t + 1, gap, reverse=p_qn < p_fn)
-            planned = self._try_step([move_a, move_b], StepCategory.ABSORBING_PAIR)
+            planned = self._try_step([move_b], StepCategory.ABSORBING_PAIR, lead=first)
             if planned is not None:
                 return planned
         return None
 
-    def plan_fallback_single(self, min_gain: int, view: _Blocks) -> _Planned | None:
+    def plan_fallback_single(
+        self, view: _View, lead: _Leg | None = None
+    ) -> _Planned | None:
         """
         Deterministic scan for any single insertion that creates matching
-        junctions at some slot and measurably gains at least `min_gain`
-        thirds.  Covers front-anchored states the primary case analysis
-        cannot serve (e.g. the window maximum sitting in a descending
-        block right after the front block, which has no free neighbor).
+        junctions at some slot of the view's state and measurably gains a
+        BONUS, or, after the leg `lead` that led to that state, completes
+        an ABSORBING_PAIR.  Covers front-anchored states the primary case
+        analysis cannot serve (e.g. the window maximum sitting in a
+        descending block right after the front block, which has no free
+        neighbor).
         """
+        category = StepCategory.BONUS if lead is None else StepCategory.ABSORBING_PAIR
         base = view.vals
+        bound = step_signs(view.wrap)
         front_stop = view.seg(self.lo)[1]
         for g in range(front_stop, self.hi + 2):
             u = base[g - 1]
             w = base[g] if g <= self.hi else None
-            if w is not None and view.seg(g - 1) == view.seg(g):
-                continue
+            if w is not None and w - u in bound:
+                continue  # g is inside a block
             xs = [x for x in (self.pred(u), self.succ(u)) if x is not None and x != w]
             if w is None:
                 for x in xs:
@@ -479,7 +597,7 @@ class _Run:
                     if xseg[0] < front_stop or xseg[0] <= g - 1 < xseg[1]:
                         continue
                     move = splice_move(xseg[0], xseg[1], g, reverse=px != xseg[0])
-                    planned = self._try_step([move], StepCategory.BONUS, min_gain, base)
+                    planned = self._try_step([move], category, lead=lead)
                     if planned is not None:
                         return planned
                 continue
@@ -492,15 +610,15 @@ class _Run:
                     if s < front_stop or s <= g - 1 <= t or s <= g <= t:
                         continue
                     move = splice_move(s, t + 1, g, reverse=px > py)
-                    planned = self._try_step([move], StepCategory.BONUS, min_gain, base)
+                    planned = self._try_step([move], category, lead=lead)
                     if planned is not None:
                         return planned
         return None
 
-    def plan_fallback_pair(self, view: _Blocks) -> _Planned | None:
+    def plan_fallback_pair(self, view: _View) -> _Planned | None:
         """Absorbing move plus a compensating insertion, found by scan."""
         front_stop = view.seg(self.lo)[1]
-        for seg in view.blocks:
+        for seg in block_spans(view.vals, self.lo, self.hi, view.wrap):
             if seg[0] == self.lo:
                 continue  # the front block
             for end_pos in (seg[0], seg[1] - 1):
@@ -525,32 +643,33 @@ class _Run:
                         first = self._try_step([move_a], StepCategory.ABSORBING_PAIR, 2)
                         if first is None:
                             continue
-                        _, _, gain_a, mid = first
-                        follow = self.plan_fallback_single(6 - gain_a, self.view(mid))
-                        if follow is None:
-                            continue
-                        moves = [move_a, *follow[0]]
-                        planned = self._try_step(moves, StepCategory.ABSORBING_PAIR)
+                        lead = first[0]
+                        planned = self.plan_fallback_single(self.view(lead[2][-1]), lead)
                         if planned is not None:
                             return planned
         return None
 
-    def plan_next(self) -> _Planned | None:
-        view = self.view()
+    def plan_next(self, view: _View) -> _Planned | None:
+        """The first step the planners find, in order, on the view's state."""
         return (
             self.plan_block_merge(view)
             or self.plan_menu(view)
-            or self.plan_fallback_single(3, view)
+            or self.plan_fallback_single(view)
             or self.plan_fallback_pair(view)
         )
 
-    def main_loop(self, done) -> None:
+    def main_loop(self, view: _View) -> None:
+        """
+        Steps until the window is sorted.  `view`, a view of the current
+        state, is kept across the commits.
+        """
         budget = 3 * self.n + 16
-        while not done():
-            planned = self.plan_next()
+        while not view.done():
+            planned = self.plan_next(view)
             if planned is None:
                 raise DiagnosticFailure("no valid step", tuple(self.vals))
             self.commit(*planned)
+            view.follow(planned[0])
             budget -= 1
             if budget <= 0:
                 raise DiagnosticFailure("step budget exceeded", tuple(self.vals))
@@ -562,9 +681,10 @@ class _Run:
     def run_basic(self) -> None:
         if self.window_sorted():
             return
+        view = self.view()
         if not self.front_ok(self.vals):  # no increasing front block
-            self._basic_opening()
-        self.main_loop(self._basic_done)
+            self._basic_opening(view)
+        self.main_loop(view)
         if not self.window_sorted():
             idx_top = self.vals.index(self.n)
             self.commit_checked(
@@ -574,30 +694,27 @@ class _Run:
         if not self.window_sorted():
             raise DiagnosticFailure("closing rotation missed", tuple(self.vals))
 
-    def _basic_done(self) -> bool:
-        """One increasing circular block: a rotation of the identity."""
-        first = self.vals[0]
-        return self.vals == list(range(first, self.n + 1)) + list(range(1, first))
-
-    def _basic_opening(self) -> None:
+    def _basic_opening(self, view: _View) -> None:
         """
         One move that establishes an increasing block at the front: reverse
         a decreasing front run in place, or fetch the run holding the front
         value's successor (or predecessor) and paste it against the front.
         Plans are tried in order and validated; wrapped runs can shift a
         boundary value away from its end, so plain runs serve as backups.
+        `view`, the run's view of the current state, follows the move.
         """
         plans: list[Move] = []
-        views = (self.view(), _Blocks(self.vals, self.lo, self.hi, 0))  # circular, plain
+        views = (view, view.unwrapped())
         first = self.vals[0]
-        for view in views:
-            front = view.seg(0)
-            if _is_block(front) and view.signs[self.vals[1] - first] < 0:  # decreasing
+        for rule_view in views:
+            front = rule_view.seg(0)
+            decreasing = step_signs(rule_view.wrap).get(self.vals[1] - first, 0) < 0
+            if _is_block(front) and decreasing:
                 plans.append(splice_move(0, front[1], 0, reverse=True))
         for target, paste_after in ((self.succ(first), True), (self.pred(first), False)):
-            for view in views:
-                pt = self.vals.index(target)
-                seg = view.seg(pt)
+            pt = self.vals.index(target)
+            for rule_view in views:
+                seg = rule_view.seg(pt)
                 if seg[0] == 0:
                     continue  # cutting the front apart is never the opening
                 if pt not in (seg[0], seg[1] - 1):
@@ -616,6 +733,7 @@ class _Run:
             planned = self._try_step([move], StepCategory.OPENING)
             if planned is not None:
                 self.commit(*planned)
+                view.follow(planned[0])
                 return
         raise DiagnosticFailure("no valid opening move", tuple(self.vals))
 
@@ -640,7 +758,7 @@ class _Run:
                     ],
                     StepCategory.SPECIAL_OPENING,
                 )
-                self.main_loop(self.window_sorted)
+                self.main_loop(self.view())
                 return
             if first == self.vlo + 1:
                 self.commit_checked(
@@ -651,7 +769,7 @@ class _Run:
                 continue
             outcome = self._refined_general_opening(p_min)
             if outcome == "loop":
-                self.main_loop(self.window_sorted)
+                self.main_loop(self.view())
                 return
             if outcome == "shrink":
                 continue
@@ -685,17 +803,17 @@ class _Run:
             first_leg = self.measure([move1])
             if first_leg is None:
                 continue
-            mid, gain = first_leg
+            mid = first_leg[2][-1]
             if mid[self.lo] != self.vlo:
                 continue
             if mid[self.lo + 1] == self.vlo + 1:  # an increasing front block at vlo
-                self.commit([move1], StepCategory.OPENING, gain, mid)
+                self.commit(first_leg, StepCategory.OPENING)
                 return "loop"
             for move2 in self._second_opening_moves(mid):
-                planned = self._try_step([move1, move2], StepCategory.OPENING)
+                planned = self._try_step([move2], StepCategory.OPENING, lead=first_leg)
                 if planned is None:
                     continue
-                post = planned[3]
+                post = planned[0][2][-1]
                 if post[self.lo] != self.vlo or post[self.lo + 1] != self.vlo + 1:
                     continue
                 weight = weight_thirds_values(post, self.mode, self.lo, self.hi)
@@ -765,22 +883,22 @@ class _Run:
         first_leg = self.measure([move1])
         if first_leg is None:
             return False
-        mid, _ = first_leg
+        mid = first_leg[2][-1]
         if mid[self.lo] != self.vlo or mid[self.lo + 1] != self.vhi:
             return False
         p_two = mid.index(self.vlo + 1)
         move2 = splice_move(self.lo + 1, p_two, self.hi + 1, reverse=True)
-        both = self.measure([move1, move2])
+        both = self.measure([move2], first_leg)
         if both is None:
             return False
-        post, _ = both
+        post = both[2][-1]
         if not (
             post[self.lo] == self.vlo
             and post[self.lo + 1] == self.vlo + 1
             and post[self.hi] == self.vhi
         ):
             return False
-        self.commit_checked([move1, move2], StepCategory.SPECIAL_OPENING)
+        self.commit(both, StepCategory.SPECIAL_OPENING)
         self.lo += 2
         self.hi -= 1
         return True
@@ -816,7 +934,8 @@ def _finish(
         )
     histogram: dict[str, int] = {}
     for step in steps:
-        histogram[step.category.value] = histogram.get(step.category.value, 0) + 1
+        name = step.category.value
+        histogram[name] = histogram.get(name, 0) + 1
     return SortResult(
         trace=Trace(p, tuple(moves), tuple(notes)),
         move_count=len(moves),
@@ -847,7 +966,7 @@ def plan_step(p: Permutation, mode: Mode) -> SortStep:
     mode: anchored at value 1).  Used to inspect the case analysis.
     """
     run = _Run(p.values, mode)
-    planned = run.plan_next()
+    planned = run.plan_next(run.view())
     if planned is None:
         raise DiagnosticFailure("no valid step", p.values)
     run.commit(*planned)

@@ -87,6 +87,14 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--trace", str(path), "--bound", "1")
         assert code == 0 and "within_bound=true" in out
 
+    def test_trace_over_the_bound_fails(self, capsys, tmp_path):
+        path = tmp_path / "good.txt"
+        path.write_text("n 2\ninit 2 1\nmove 0 2 2 rev\n")
+        code, out, _ = run_cli(capsys, "verify", "--trace", str(path), "--bound", "0")
+        assert code == 2
+        assert "within_bound=false" in out
+        assert "ok=false" in out
+
 
 class TestBoundAndDistance:
     def test_bound_components(self, capsys):

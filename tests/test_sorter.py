@@ -26,9 +26,9 @@ from cutsort import (
     sort_monotone,
     sort_refined,
 )
-from cutsort.metrics import weight_thirds_values
+from cutsort.metrics import block_spans, weight_thirds_values
 from cutsort.perm import adjacency_count_values, apply_move_values, enumerate_moves
-from cutsort.sorter import GAIN_FLOORS, move_deltas
+from cutsort.sorter import GAIN_FLOORS, _View, move_deltas
 
 
 def sqrt_ceil(n):
@@ -195,6 +195,93 @@ class TestMoveDeltas:
         m = Move(0, 2, 3, MoveKind.SWAP)
         with pytest.raises(ValueError):
             move_deltas(values, apply_move_values(values, m), m, Mode.LINEAR, 1, 2)
+
+
+def followed(values, moves, lo, hi, wrap):
+    """A view of `values` moved along `moves`, and the values they lead to."""
+    view = _View(values, lo, hi, wrap)
+    states = [values]
+    for m in moves:
+        states.append(apply_move_values(states[-1], m))
+    view.follow((tuple(moves), 0, states))
+    return view, states[-1]
+
+
+def assert_answers(view, values, lo, hi, wrap):
+    """The view's blocks, done test and merge candidates, from their definitions."""
+    spans = block_spans(values, lo, hi, wrap)
+    for p in range(lo, hi + 1):
+        expected = next(((a, b) for a, b in spans if a <= p < b), (p, p + 1))
+        assert view.seg(p) == expected, (values, p)
+    vlo, vhi = lo + 1, hi + 1
+    window = values[lo : hi + 1]
+    if wrap:  # sorted is a rotation of the window's values
+        at = window.index(vlo)
+        window = window[at:] + window[:at]
+    assert view.done() == (window == list(range(vlo, vhi + 1)))
+    succ = (lambda v: vlo if v == vhi else v + 1) if wrap else (lambda v: v + 1)
+    in_blocks = {values[q] for a, b in spans for q in range(a, b)}
+    where = {v: q for q, v in enumerate(values)}
+    candidates = [
+        v
+        for v in range(vlo, vhi + 1)
+        if (wrap or v < vhi)
+        and v in in_blocks
+        and succ(v) in in_blocks
+        and abs(where[v] - where[succ(v)]) != 1
+    ]
+    assert view.merge_candidates() == candidates, values
+
+
+def assert_kept(view, values, lo, hi, wrap):
+    """A view kept across moves equals a fresh build on the values they led to."""
+    assert view.vals == values
+    assert view.adj == _View(values, lo, hi, wrap).adj, values
+
+
+class TestView:
+    """The main loop's view: its answers, and its upkeep across commits."""
+
+    def test_fresh_views_answer_from_block_spans(self):
+        for n in range(1, 7):
+            for p in perms(n):
+                values = list(p.values)
+                for mode in Mode:
+                    wrap = mode.wrap(0, n - 1)
+                    view = _View(values, 0, n - 1, wrap)
+                    assert_answers(view, values, 0, n - 1, wrap)
+                    if wrap:
+                        assert_answers(view.unwrapped(), values, 0, n - 1, 0)
+
+    def test_every_move_on_small_n_in_both_modes(self):
+        for n in range(1, 7):
+            moves = enumerate_moves(n)
+            for p in perms(n):
+                before = list(p.values)
+                for mode in Mode:
+                    wrap = mode.wrap(0, n - 1)
+                    for m in moves:
+                        view, after = followed(before, [m], 0, n - 1, wrap)
+                        assert_kept(view, after, 0, n - 1, wrap)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(linear_windows_and_moves())
+    def test_linear_windows(self, case):
+        values, m, lo, hi = case
+        view, after = followed(values, [m], lo, hi, 0)
+        assert_kept(view, after, lo, hi, 0)
+        assert_answers(view, after, lo, hi, 0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rings_where_every_neighbour_pair_binds(self, n):
+        # every pair of values is consecutive on the ring, so every gap
+        # binds; two-move legs exercise clearing what the first move set
+        moves = enumerate_moves(n)
+        for p in perms(n):
+            for first, second in itertools.product(moves, repeat=2):
+                view, after = followed(list(p.values), [first, second], 0, n - 1, n - 1)
+                assert_kept(view, after, 0, n - 1, n - 1)
+                assert_answers(view, after, 0, n - 1, n - 1)
 
 
 class TestSortInsertion:
