@@ -245,5 +245,31 @@ class TestMalformedInput:
             code, _, err = run_cli(capsys, command, "--perm", perm)
             assert (code, err) == (1, f"error: {line}\n")
 
+    @pytest.mark.parametrize(
+        "move, line",
+        [
+            (
+                "move 2 1 3 swap",
+                "swap move needs 0 <= i < j < k, got "
+                "Move(i=2, j=1, k=3, kind=<MoveKind.SWAP: 'swap'>) (position 3)",
+            ),
+            (
+                "move 1 2 2 rev",
+                "reversing one element is a no-op: "
+                "Move(i=1, j=2, k=2, kind=<MoveKind.REVERSE: 'rev'>) (position 3)",
+            ),
+            (
+                "move 0 1 2 rev",
+                "reverse move needs i < j = k, got "
+                "Move(i=0, j=1, k=2, kind=<MoveKind.REVERSE: 'rev'>) (position 3)",
+            ),
+        ],
+    )
+    def test_verify_bad_move_error_lines(self, capsys, tmp_path, move, line):
+        path = tmp_path / "trace.txt"
+        path.write_text(f"n 3\ninit 2 1 3\n{move}\n")
+        code, out, err = run_cli(capsys, "verify", "--trace", str(path))
+        assert (code, out, err) == (1, "", f"error: {line}\n")
+
     def test_witness_limit_above_the_count(self, capsys):
         self.assert_one_line_error(capsys, "witness", "--n", "9", "--limit", "14401")

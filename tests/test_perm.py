@@ -86,6 +86,52 @@ class TestApplyMove:
             Move(0, 1, 2, MoveKind.REVERSE)  # j must equal k
 
 
+class TestRecords:
+    """Moves and trace notes are immutable values with a fixed repr."""
+
+    def test_move_refuses_attribute_assignment(self):
+        m = Move(0, 1, 3, MoveKind.SWAP)
+        with pytest.raises(AttributeError):
+            m.i = 2
+        with pytest.raises(AttributeError):
+            m.extra = 1
+        assert m == Move(0, 1, 3, MoveKind.SWAP)
+
+    def test_move_compares_and_hashes_by_fields(self):
+        a, b = Move(0, 1, 3, MoveKind.SWAP), Move(0, 1, 3, MoveKind.SWAP)
+        assert a == b and hash(a) == hash(b)
+        assert a != Move(0, 1, 3, MoveKind.SWAP_REV_LEFT)
+        assert a != Move(0, 2, 3, MoveKind.SWAP)
+        assert len({a, b, Move(0, 3, 3, MoveKind.REVERSE)}) == 2
+
+    def test_move_repr(self):
+        m = Move(2, 4, 4, MoveKind.REVERSE)
+        assert repr(m) == "Move(i=2, j=4, k=4, kind=<MoveKind.REVERSE: 'rev'>)"
+        assert str(m) == repr(m)
+
+    def test_trace_note_refuses_attribute_assignment(self):
+        note = TraceNote(0, "closing", 3)
+        with pytest.raises(AttributeError):
+            note.gain_thirds = 4
+        with pytest.raises(AttributeError):
+            note.extra = 1
+
+    def test_trace_note_compares_and_hashes_by_fields(self):
+        a, b = TraceNote(1, "block", 3), TraceNote(1, "block", 3)
+        assert a == b and hash(a) == hash(b)
+        assert a != TraceNote(1, "block", 2)
+        assert TraceNote(1, "block") == TraceNote(1, "block", None)
+        assert len({a, b, TraceNote(2, "block", 3)}) == 2
+
+    def test_trace_note_repr(self):
+        assert repr(TraceNote(2, "closing")) == (
+            "TraceNote(move_index=2, category='closing', gain_thirds=None)"
+        )
+        assert repr(TraceNote(0, "block", 3)) == (
+            "TraceNote(move_index=0, category='block', gain_thirds=3)"
+        )
+
+
 class TestEnumerateMoves:
     def test_one_element_has_no_moves(self):
         assert enumerate_moves(1) == []
