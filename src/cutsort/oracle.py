@@ -290,6 +290,10 @@ def load_table(path: str) -> DistanceTable:
         raise InputError(f"{path}: missing '# n=' header")
     if n < 1:
         raise InputError(f"{path}: n must be >= 1, got {n}")
+    if n > DISTANCE_GUARD:  # checked before n! bytes are allocated
+        raise InputError(
+            f"{path}: n={n} is above {DISTANCE_GUARD}, the largest table build_table makes"
+        )
     total = factorial(n)
     distances = bytearray(total)
     for rank, (d, lineno) in rows.items():

@@ -21,9 +21,13 @@ and have a line-oriented text format for golden files.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
+from typing import NamedTuple
+
+
 class InputError(ValueError):
     """Rejected input: malformed permutation, move, or trace."""
 
@@ -51,24 +55,44 @@ class MoveKind(Enum):
     REVERSE = "rev"
 
 
-@dataclass(frozen=True)
-class Move:
-    """Cut points (i, j, k) plus the variant selecting one legal form."""
+# Module-level aliases: reading a member off an Enum class is Python-level.
+_SWAP, _SWAP_RL, _SWAP_RR = MoveKind.SWAP, MoveKind.SWAP_REV_LEFT, MoveKind.SWAP_REV_RIGHT
+_REVERSE = MoveKind.REVERSE
+_tuple_new = tuple.__new__
 
-    i: int
-    j: int
-    k: int
-    kind: MoveKind
 
-    def __post_init__(self) -> None:
-        if self.kind is MoveKind.REVERSE:
-            if not (0 <= self.i and self.i < self.k and self.j == self.k):
+class Move(namedtuple("Move", "i j k kind")):
+    """
+    Cut points (i, j, k) plus the variant selecting one legal form.
+
+    An immutable tuple record, not a dataclass: every sorter emits one per
+    move, and a tuple with C-level field getters is built in one Python
+    frame instead of a frozen dataclass's `__init__`, four
+    `object.__setattr__` calls and `__post_init__`.  Every constructor
+    path validates, `_make` and `_replace` included.  Being a tuple, a
+    move also equals the plain tuple (i, j, k, kind).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, i: int, j: int, k: int, kind: MoveKind) -> Move:
+        self = _tuple_new(cls, (i, j, k, kind))
+        # Identity tests: Enum.__hash__ is Python-level, so no `in` on a set.
+        if kind is _SWAP or kind is _SWAP_RL or kind is _SWAP_RR:
+            if not (0 <= i < j < k):
+                raise InputError(f"swap move needs 0 <= i < j < k, got {self}")
+        elif kind is _REVERSE:
+            if not (0 <= i and i < k and j == k):
                 raise InputError(f"reverse move needs i < j = k, got {self}")
-            if self.k - self.i < 2:
+            if k - i < 2:
                 raise InputError(f"reversing one element is a no-op: {self}")
         else:
-            if not (0 <= self.i < self.j < self.k):
-                raise InputError(f"swap move needs 0 <= i < j < k, got {self}")
+            raise InputError(f"move kind must be a MoveKind, got {kind!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> Move:
+        return cls(*iterable)  # validated; `_replace` builds through here too
 
 
 @dataclass(frozen=True)
@@ -107,15 +131,15 @@ def is_identity(p: Permutation) -> bool:
 
 def apply_move_values(values: list[int], m: Move) -> list[int]:
     """Apply a move to a value list, returning a new list."""
+    i, j, k, kind = m
     n = len(values)
-    if m.k > n:
-        raise InputError(f"cut point k={m.k} out of range for n={n}")
-    i, j, k = m.i, m.j, m.k
-    if m.kind is MoveKind.SWAP:
+    if k > n:
+        raise InputError(f"cut point k={k} out of range for n={n}")
+    if kind is _SWAP:
         return values[:i] + values[j:k] + values[i:j] + values[k:]
-    if m.kind is MoveKind.SWAP_REV_LEFT:
+    if kind is _SWAP_RL:
         return values[:i] + values[j:k] + values[i:j][::-1] + values[k:]
-    if m.kind is MoveKind.SWAP_REV_RIGHT:
+    if kind is _SWAP_RR:
         return values[:i] + values[j:k][::-1] + values[i:j] + values[k:]
     return values[:i] + values[i:k][::-1] + values[k:]
 
@@ -171,8 +195,7 @@ def adjacency_count_values(values) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class TraceNote:
+class TraceNote(NamedTuple):
     """Sorter annotation: a step category and its gain, in thirds of weight."""
 
     move_index: int

@@ -243,6 +243,14 @@ class TestPersistence:
         with pytest.raises(InputError, match=f"line {line}:"):
             load_table(str(path))
 
+    @pytest.mark.parametrize("n", [10, 25])
+    def test_load_refuses_n_above_the_guard(self, tmp_path, n):
+        path = tmp_path / "big.csv"
+        path.write_text(f"# n={n}\nrank,distance\n0,0\n")
+        with pytest.raises(InputError) as err:
+            load_table(str(path))
+        assert str(err.value).startswith(f"{path}: n={n} is above 9")
+
 
 class TestBracketing:
     def test_certificate_below_distance_below_sorter(self, tables):

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,23 @@ class TestApplyMove:
             Move(1, 2, 2, MoveKind.REVERSE)  # single-element reversal
         with pytest.raises(InputError):
             Move(0, 1, 2, MoveKind.REVERSE)  # j must equal k
+
+    def test_move_constructor_rejects_a_kind_that_is_not_a_move_kind(self):
+        with pytest.raises(InputError, match="move kind must be a MoveKind, got 'swap'"):
+            Move(0, 1, 3, "swap")
+
+    def test_every_move_constructor_path_validates(self):
+        m = Move(0, 1, 3, MoveKind.SWAP)
+        assert Move._make((0, 1, 3, MoveKind.SWAP)) == m
+        assert m._replace(kind=MoveKind.SWAP_REV_LEFT) == Move(0, 1, 3, MoveKind.SWAP_REV_LEFT)
+        with pytest.raises(InputError):
+            Move._make((0, 1, 3, "swap"))
+        with pytest.raises(InputError):
+            m._replace(kind="swap")
+        with pytest.raises(InputError):
+            m._replace(i=1)  # 1 < 1 < 3 fails
+        assert copy.deepcopy(m) == m
+        assert pickle.loads(pickle.dumps(m)) == m
 
 
 class TestRecords:
