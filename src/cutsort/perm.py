@@ -66,11 +66,11 @@ class Move(namedtuple("Move", "i j k kind")):
     Cut points (i, j, k) plus the variant selecting one legal form.
 
     An immutable tuple record, not a dataclass: every sorter emits one per
-    move, and a tuple with C-level field getters is built in one Python
-    frame instead of a frozen dataclass's `__init__`, four
-    `object.__setattr__` calls and `__post_init__`.  Every constructor
-    path validates, `_make` and `_replace` included.  Being a tuple, a
-    move also equals the plain tuple (i, j, k, kind).
+    move, and a tuple built and checked in one Python frame, with C-level
+    field getters, costs less than half of a frozen dataclass with the
+    same checks.  Every constructor path validates, `_make` and
+    `_replace` included.  Being a tuple, a move also equals the plain
+    tuple (i, j, k, kind).
     """
 
     __slots__ = ()
